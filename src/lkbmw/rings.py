@@ -113,16 +113,6 @@ def _u_trim(v):
     return v
 
 
-def _u_add(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _u_trim(out)
-
-
 def _u_sub(a, b):
     n = max(len(a), len(b))
     out = [_ZERO] * n
@@ -848,7 +838,8 @@ def _poly_to_dense_r(p):
 
 
 class QuotientField:
-    """The field Q[r]/(modulus) for a monic irreducible modulus.
+    """The field Q[r]/(modulus) for a monic irreducible modulus with integer
+    coefficients.
 
     Irreducibility is asserted by the caller, not proven here; with a
     reducible modulus inversion becomes partial and raises
@@ -861,23 +852,41 @@ class QuotientField:
             raise ValueError("modulus must have degree >= 1")
         if dense[-1] != 1:
             raise ValueError("modulus must be monic")
+        if any(c.denominator != 1 for c in dense):
+            raise ValueError("modulus must have integer coefficients")
         self.modulus = modulus
         self._dense = dense
         self.degree = len(dense) - 1
+        # r^degree = -sum_j a_j r^j, kept as the pairs (j, a_j) with a_j != 0
+        self._low = tuple((j, int(c)) for j, c in enumerate(dense[:-1]) if c)
+
+    def _reduce(self, v):
+        """Reduce an integer coefficient list modulo the modulus, in place."""
+        d, low = self.degree, self._low
+        for k in range(len(v) - 1, d - 1, -1):
+            c = v[k]
+            if c:
+                base = k - d
+                for j, a in low:
+                    v[base + j] -= c * a
+        del v[d:]
+        return v
 
     def element(self, dense):
-        _, rem = _u_divmod(dense, self._dense)
-        return CycElement(self, tuple(rem))
+        """The class of a polynomial given by its coefficients (integers or
+        rationals, constant term first)."""
+        den = math.lcm(1, *(int(c.denominator) for c in dense))
+        num = [int(c.numerator) * (den // int(c.denominator)) for c in dense]
+        return _cyc(self, self._reduce(num), den)
 
     def zero(self):
-        return CycElement(self, ())
+        return CycElement(self, (), 1)
 
     def one(self):
-        return CycElement(self, (_ONE,))
+        return CycElement(self, (1,), 1)
 
     def from_int(self, k):
-        q = _Q(k)
-        return CycElement(self, (q,) if q else ())
+        return CycElement(self, (k,) if k else (), 1)
 
     def embed(self, fe):
         """Map a FieldElement in r only into the quotient field."""
@@ -895,46 +904,82 @@ class QuotientField:
         return "QuotientField(%s)" % self.modulus
 
 
+def _cyc(field, num, den):
+    """The canonical CycElement num/den: trailing zeros trimmed, den > 0 and
+    gcd(content(num), den) = 1, so that equality is structural."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CycElement(field, tuple(num), den)
+
+
 class CycElement:
-    """An element of Q[r]/(Phi), stored as a dense coefficient tuple."""
+    """An element num/den of Q[r]/(Phi): num is a tuple of integers (the
+    coefficient of r^i at index i, of length at most the degree of the
+    modulus) and den a positive integer, in the canonical form of _cyc."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, num, den):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.num = num
+        self.den = den
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def is_one(self):
-        return self.coeffs == (_ONE,)
+        return self.num == (1,) and self.den == 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def complexity(self):
-        return sum(1 for c in self.coeffs if c)
+        return len(self.num) - self.num.count(0)
+
+    def _combine(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            g = math.gcd(den, other.den)
+            ma, mb = other.den // g, den // g
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+            den *= ma
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += sign * c
+        return _cyc(self.field, out, den)
 
     def __add__(self, other):
-        return CycElement(self.field, _u_add(list(self.coeffs), list(other.coeffs)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return CycElement(self.field, _u_sub(list(self.coeffs), list(other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return CycElement(self.field, tuple(-c for c in self.coeffs))
+        return CycElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
-        prod = _u_mul(list(self.coeffs), list(other.coeffs))
-        _, rem = _u_divmod(prod, self.field._dense)
-        return CycElement(self.field, rem)
+        a, b = self.num, other.num
+        out = [0] * (len(a) + len(b) - 1)
+        b = [(j, c) for j, c in enumerate(b) if c]
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in b:
+                    out[i + j] += ca * cb
+        return _cyc(self.field, self.field._reduce(out), self.den * other.den)
 
     def inverse(self):
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero in the quotient field")
         # extended Euclid over Q[r]
-        r0, r1 = list(self.field._dense), list(self.coeffs)
+        fld = self.field
+        r0, r1 = list(fld._dense), [_Q(c, self.den) for c in self.num]
         t0, t1 = [], [_ONE]
         while r1:
             q, rem = _u_divmod(r0, r1)
@@ -944,9 +989,7 @@ class CycElement:
             g = Poly2({(0, i): c for i, c in enumerate(r0) if c})
             raise NonInvertibleError(
                 "element shares the factor (%s) with the modulus" % g, gcd=g)
-        inv = [c / r0[0] for c in t0]
-        _, rem = _u_divmod(inv, self.field._dense)
-        return CycElement(self.field, rem)
+        return fld.element([c / r0[0] for c in t0])
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -965,14 +1008,16 @@ class CycElement:
 
     def __eq__(self, other):
         return (isinstance(other, CycElement)
-                and self.coeffs == other.coeffs and self.field == other.field)
+                and self.num == other.num and self.den == other.den
+                and self.field == other.field)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __str__(self):
-        p = Poly2({(0, i): c for i, c in enumerate(self.coeffs) if c})
-        return str(p)
+        den = self.den
+        return str(Poly2({(0, i): _Q(c, den)
+                          for i, c in enumerate(self.num) if c}))
 
     def __repr__(self):
         return "CycElement(%s)" % self
@@ -986,13 +1031,14 @@ class Specialization:
     """A choice of target field: generic Q(l, r), or l -> f(r) in Q(r),
     optionally followed by reduction modulo a cyclotomic polynomial."""
 
-    __slots__ = ("l_value", "modulus", "_field")
+    __slots__ = ("l_value", "modulus", "_field", "_ctx")
 
     def __init__(self, l_value=None, modulus=None):
         if modulus is not None and l_value is None:
             raise ValueError("a quotient specialization must also fix l")
         self.l_value = l_value
         self.modulus = modulus
+        self._ctx = None
         if modulus is None:
             self._field = None
         else:
@@ -1033,11 +1079,15 @@ class Specialization:
         return self.modulus is not None
 
     def field(self):
-        if self.is_quotient:
-            return SpecializedQuotientContext(self)
-        if self.is_generic:
-            return GenericContext()
-        return RationalFunctionContext(self.l_value)
+        """The element factory of the target field, built once."""
+        if self._ctx is None:
+            if self.is_quotient:
+                self._ctx = SpecializedQuotientContext(self)
+            elif self.is_generic:
+                self._ctx = GenericContext()
+            else:
+                self._ctx = RationalFunctionContext(self.l_value)
+        return self._ctx
 
     def __eq__(self, other):
         return (isinstance(other, Specialization)
@@ -1133,7 +1183,9 @@ class RationalFunctionContext(GenericContext):
 
 
 class SpecializedQuotientContext:
-    """Element factory for Q[r]/(Phi) with l fixed."""
+    """Element factory for Q[r]/(Phi) with l fixed.  The powers of r, l^-1
+    and x are computed on first use and kept, so building T(n) inverts in
+    the quotient field a handful of times rather than once per entry."""
 
     is_quotient = True
 
@@ -1141,9 +1193,12 @@ class SpecializedQuotientContext:
         self._spec = spec
         self._fld = spec._field
         self._l = self._fld.embed(spec.l_value)
-        r = self._fld.element([_ZERO, _ONE])
-        self._r = r
-        self._m = r.inverse() - r
+        r = self._fld.element([0, 1])
+        r_inv = r.inverse()
+        self._r_pows = {0: self._fld.one(), 1: r, -1: r_inv}
+        self._m = r_inv - r
+        self._l_inv = None
+        self._x = None
 
     def zero(self):
         return self._fld.zero()
@@ -1155,20 +1210,27 @@ class SpecializedQuotientContext:
         return self._fld.from_int(k)
 
     def r_pow(self, k):
-        return self._r ** k
+        p = self._r_pows.get(k)
+        if p is None:
+            p = self._r_pows[1 if k > 0 else -1] ** abs(k)
+            self._r_pows[k] = p
+        return p
 
     def l(self):
         return self._l
 
     def l_inv(self):
-        return self._l.inverse()
+        if self._l_inv is None:
+            self._l_inv = self._l.inverse()
+        return self._l_inv
 
     def m(self):
         return self._m
 
     def x(self):
-        l = self._l
-        return self.one() - (l - l.inverse()) / self._m
+        if self._x is None:
+            self._x = self.one() - (self._l - self.l_inv()) / self._m
+        return self._x
 
     def embed_r(self, fe):
         return self._fld.embed(fe)
@@ -1191,7 +1253,7 @@ def is_semisimple_point(s, n):
     if not s.is_quotient:
         return True, None  # r is transcendental
     fld = s._field
-    r2 = fld.element([_ZERO, _ZERO, _ONE])
+    r2 = fld.element([0, 0, 1])
     one = fld.one()
     p = fld.one()
     for k in range(1, n + 1):
@@ -1209,9 +1271,28 @@ class ExpressionError(ValueError):
     """Raised on malformed textual field expressions."""
 
 
+# the largest exponent, and the largest r-degree of a numerator or
+# denominator, that parse_r_expression accepts; far larger values only make
+# the kernels run for hours
+MAX_R_DEGREE = 64
+
+
+def _r_degree(fe):
+    return max(fe.num.degree_r(), fe.den.degree_r())
+
+
+def _capped(node):
+    if _r_degree(node) > MAX_R_DEGREE:
+        raise ExpressionError("expression has r-degree above %d"
+                              % MAX_R_DEGREE)
+    return node
+
+
 def parse_r_expression(text):
     """Parse a rational expression in r (integers, + - * / ^, parentheses)
-    into a FieldElement.  The keyword 'generic' is handled by the caller."""
+    into a FieldElement.  The keyword 'generic' is handled by the caller.
+    Exponents and the r-degree of every intermediate result are capped at
+    MAX_R_DEGREE."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -1231,7 +1312,7 @@ def parse_r_expression(text):
         while peek() in ("+", "-"):
             op = take()
             rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
+            node = _capped(node + rhs if op == "+" else node - rhs)
         return node
 
     def parse_term():
@@ -1240,11 +1321,11 @@ def parse_r_expression(text):
             op = take()
             rhs = parse_factor()
             if op == "*":
-                node = node * rhs
+                node = _capped(node * rhs)
             else:
                 if rhs.is_zero():
                     raise ExpressionError("division by zero in expression")
-                node = node / rhs
+                node = _capped(node / rhs)
         return node
 
     def parse_factor():
@@ -1268,7 +1349,14 @@ def parse_r_expression(text):
             tok = take()
             if tok is None or not tok.isdigit():
                 raise ExpressionError("expected integer exponent")
-            return base ** (sign * int(tok))
+            # compare digits first: int() refuses very long digit strings
+            if len(tok.lstrip("0")) > 2 or int(tok) > MAX_R_DEGREE:
+                raise ExpressionError("exponent above %d" % MAX_R_DEGREE)
+            exp = int(tok)
+            if exp * _r_degree(base) > MAX_R_DEGREE:
+                raise ExpressionError("power has r-degree above %d"
+                                      % MAX_R_DEGREE)
+            return base ** (sign * exp)
         return base
 
     def parse_atom():
@@ -1283,7 +1371,10 @@ def parse_r_expression(text):
         if tok == "r":
             return FieldElement.r()
         if tok.isdigit():
-            return FieldElement.from_int(int(tok))
+            try:
+                return FieldElement.from_int(int(tok))
+            except ValueError as exc:  # too many digits for int()
+                raise ExpressionError(str(exc)) from None
         raise ExpressionError("unexpected token %r" % tok)
 
     node = parse_expr()

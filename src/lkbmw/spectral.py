@@ -261,6 +261,8 @@ class KernelReport:
 
 def kernel(n, spec):
     """Basis of K(n) = Ker T(n), in reduced echelon form."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
     if spec is None or spec.is_generic:
         raise ValueError(
             "kernel over the generic bivariate field is not supported; "
@@ -586,6 +588,8 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
         row_pool = list(range(1, N + 1))
     if col_pool is None:
         col_pool = list(range(1, N + 1))
+    if any(not 1 <= i <= N for i in list(row_pool) + list(col_pool)):
+        raise ValueError("row and column indices must lie in 1..%d" % N)
     if size > len(row_pool) or size > len(col_pool):
         raise ValueError("size exceeds the index pools")
     M = t_matrix(n, spec).entries

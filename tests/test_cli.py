@@ -79,6 +79,20 @@ def test_exit_code_parse_error(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["kernel", "--n", "4", "--l", "r^999999"],
+    ["kernel", "--n", "2", "--l", "r"],
+    ["kernel", "--n", "1", "--l", "r"],
+    ["rank-witness", "--n", "4", "--l", "r", "--size", "1",
+     "--rows", "0", "--cols", "0"],
+    ["rank-witness", "--n", "4", "--l", "r", "--size", "1", "--rows", "99"],
+    ["rank-witness", "--n", "4", "--l", "r", "--size", "1", "--cols", "7"],
+])
+def test_exit_code_out_of_range_input(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+
+
 def test_exit_code_pole(runner):
     # l = r annihilates nothing here, but a generic kernel is refused
     result = runner.invoke(main, ["kernel", "--n", "4", "--l", "generic"])

@@ -1,12 +1,17 @@
 """Exact arithmetic: canonical forms, specialization, cyclotomics."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, NonInvertibleError,
-                         PoleError, Poly2, QuotientField, Specialization,
-                         cyclotomic, fe_m, fe_x_of, is_semisimple_point,
-                         parse_r_expression, specialize)
+from lkbmw.rings import (FE_ONE, FE_ZERO, ExpressionError, FieldElement,
+                         NonInvertibleError, PoleError, Poly2, QuotientField,
+                         Specialization, cyclotomic, fe_m, fe_x_of,
+                         is_semisimple_point, parse_r_expression, specialize)
 
 R = FieldElement.r()
 L = FieldElement.l()
@@ -154,6 +159,96 @@ def test_cyclotomic_divides_r_m_minus_one_and_degree(m):
     assert phi.degree_r() == _totient(m)
 
 
+def test_modulus_with_non_integer_coefficients_is_refused():
+    half = Poly2({(0, 2): 1, (0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        QuotientField(half)
+    with pytest.raises(ValueError):
+        Specialization.l_to_mod(R, half)
+
+
+# -- CycElement against sympy's arithmetic in QQ[r]/(Phi_m) -------------------
+
+_SR = sympy.Symbol("r")
+
+
+def _sym_poly(coeffs):
+    """A sympy polynomial over QQ from Fractions, constant term first."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)] or [0], _SR,
+                      domain=sympy.QQ)
+
+
+def _fractions(p):
+    """The coefficients of a sympy polynomial, constant term first,
+    trimmed."""
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _agrees(elem, p):
+    """Assert that elem is canonical and has the coefficients of p."""
+    num, den = elem.num, elem.den
+    assert den > 0 and (not num or num[-1])
+    assert math.gcd(den, *num) == 1
+    assert len(num) <= elem.field.degree
+    assert [Fraction(c, den) for c in num] == _fractions(p)
+    text = str(Poly2({(0, i): c for i, c in enumerate(_fractions(p))}))
+    assert str(elem) == text
+
+
+@pytest.mark.parametrize("m", [4, 12, 16, 20, 24, 28])
+def test_cyc_element_matches_sympy(m):
+    rng = random.Random(m)
+    fld = QuotientField(cyclotomic(m))
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, _SR), _SR, domain=sympy.QQ)
+
+    def draw():
+        # up to twice the degree, so that element() must reduce
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(rng.randint(0, 2 * fld.degree))]
+        return fld.element(coeffs), _sym_poly(coeffs).rem(phi)
+
+    for _ in range(12):
+        (a, pa), (b, pb) = draw(), draw()
+        _agrees(a, pa)
+        _agrees(b, pb)
+        _agrees(a + b, pa + pb)
+        _agrees(a - b, pa - pb)
+        _agrees(-a, -pa)
+        _agrees(a * b, (pa * pb).rem(phi))
+        _agrees(a ** 3, (pa ** 3).rem(phi))
+        assert (a == b) == (pa == pb)
+        assert a - a == fld.zero() and a + fld.zero() == a
+        if not pb.is_zero:
+            inv = sympy.invert(pb, phi)
+            _agrees(b.inverse(), inv)
+            _agrees(b ** -2, (inv ** 2).rem(phi))
+            _agrees(a / b, (pa * inv).rem(phi))
+            # a canonical form: a different route gives an equal element
+            # with an equal hash
+            back = (a * b) / b
+            assert back == a and hash(back) == hash(a)
+
+
+@pytest.mark.parametrize("m,l_text", [(16, "-r^3"), (28, "1/r^11"),
+                                      (12, "(2*r + 3)/(r^2 - 5)")])
+def test_quotient_context_constants_match_fresh_values(m, l_text):
+    l_value = parse_r_expression(l_text)
+    s = Specialization.l_to_mod(l_value, m)
+    ctx = s.field()
+    assert s.field() is ctx
+    fld = QuotientField(cyclotomic(m))
+    for k in range(-15, 16):
+        assert ctx.r_pow(k) == fld.embed(FieldElement.r_pow(k)), k
+    assert ctx.l() == fld.embed(l_value)
+    assert ctx.l_inv() == fld.embed(l_value.inverse())
+    assert ctx.m() == fld.embed(fe_m())
+    assert ctx.x() == specialize(fe_x_of(L, fe_m()), s)
+
+
 @pytest.mark.parametrize("m", [4, 7, 12, 16, 20])
 def test_quotient_root_order(m):
     fld = QuotientField(cyclotomic(m))
@@ -194,7 +289,30 @@ def test_parser_examples():
 
 
 def test_parser_rejects_garbage():
-    from lkbmw.rings import ExpressionError
     for bad in ("l", "r +", "(r", "r^x", "q"):
+        with pytest.raises(ExpressionError):
+            parse_r_expression(bad)
+
+
+def test_parser_caps_exponents_and_degrees(monkeypatch):
+    assert parse_r_expression("r^64") == R ** 64
+    assert parse_r_expression("1/r^0064") == R ** -64
+    assert parse_r_expression("(r^2)^32").num.degree_r() == 64
+
+    power = FieldElement.__pow__
+
+    def capped_power(base, k):
+        degree = max(base.num.degree_r(), base.den.degree_r())
+        assert abs(k) * degree <= 64, "a power above the cap was computed"
+        return power(base, k)
+
+    monkeypatch.setattr(FieldElement, "__pow__", capped_power)
+    for bad in ("r^65", "r^999999", "1/r^65", "(r^2)^33", "(1 - r^3)^22",
+                "r^" + "9" * 5000, "9" * 5000):
+        with pytest.raises(ExpressionError):
+            parse_r_expression(bad)
+    monkeypatch.undo()
+    for bad in ("r^64*r", "1/r^64/r", "r^40 + 1/r^40",
+                "1/(r^40 + 1) + 1/(r^40 - 1)"):
         with pytest.raises(ExpressionError):
             parse_r_expression(bad)
