@@ -47,7 +47,7 @@ def _parse_spec(l_expr, modulus):
     try:
         m = int(modulus.split(":", 1)[1])
         return Specialization.l_to_mod(value, cyclotomic(m))
-    except (ValueError, NonInvertibleError) as exc:
+    except (ValueError, NonInvertibleError, PoleError) as exc:
         _fail(EXIT_INPUT_ERROR, "parse", str(exc))
 
 

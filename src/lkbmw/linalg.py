@@ -8,7 +8,10 @@ zero entries.
 
 from __future__ import annotations
 
-from .rings import ExactDivisionError, Poly2
+import math
+from fractions import Fraction
+
+from .rings import Poly2
 
 
 def identity(n, ctx):
@@ -199,38 +202,65 @@ def submatrix(M, rows, cols):
 # -- fraction-free determinant over Q[l, r] ---------------------------------
 
 def bareiss_det_poly(M):
-    """Exact determinant of a Poly2 matrix by Bareiss one-step elimination.
+    """Exact determinant of a Poly2 matrix by Bareiss one-step elimination
+    on Kronecker-packed integers.
 
-    Intermediate entries stay minors of the input, so every division below
-    is exact in the polynomial ring.
+    Row i is cleared to integer coefficients by the lcm of its denominators.
+    Every entry the elimination produces is a minor of the cleared matrix,
+    so its r-degree is below W = 1 + sum_i (max r-degree in row i) and its
+    coefficients are at most H = prod_i max(1, sum_j ||M_ij||_1) in absolute
+    value (||.||_1 the sum of the absolute coefficients).  The ring map
+    l -> 2^(B W), r -> 2^B with 2^(B-1) > H is therefore injective on those
+    minors: a packed entry is zero exactly when its minor is, so the pivots
+    are those of the elimination over Q[l, r], every division by the previous
+    pivot is exact over Z (Sylvester's identity), and the last entry unpacks
+    to the determinant as balanced base-2^B digits.
     """
     n = len(M)
     if n == 0:
         return Poly2.one()
-    A = [list(row) for row in M]
+    rows, scale, width, bound = [], 1, 1, 1
+    for row in M:
+        d = math.lcm(1, *(int(c.denominator)
+                          for e in row for c in e.terms.values()))
+        scale *= d
+        cleared = [{k: int(c.numerator) * (d // int(c.denominator))
+                    for k, c in e.terms.items()} for e in row]
+        width += max((b for e in cleared for _, b in e), default=0)
+        bound *= max(1, sum(abs(c) for e in cleared for c in e.values()))
+        rows.append(cleared)
+    bits = bound.bit_length() + 1
+    A = [[sum(c << bits * (a * width + b) for (a, b), c in e.items())
+          for e in row] for row in rows]
     sign = 1
-    prev = Poly2.one()
+    prev = 1
     for k in range(n - 1):
-        if A[k][k].is_zero():
+        if not A[k][k]:
             for i in range(k + 1, n):
-                if not A[i][k].is_zero():
+                if A[i][k]:
                     A[k], A[i] = A[i], A[k]
                     sign = -sign
                     break
             else:
                 return Poly2.zero()
-        pkk = A[k][k]
+        Ak = A[k]
+        pkk = Ak[k]
         for i in range(k + 1, n):
-            Ai, Ak = A[i], A[k]
+            Ai = A[i]
             aik = Ai[k]
             for j in range(k + 1, n):
-                t = pkk * Ai[j]
-                if not aik.is_zero() and not Ak[j].is_zero():
-                    t = t - aik * Ak[j]
-                if k:
-                    t = t.divexact(prev)
-                Ai[j] = t
-            Ai[k] = Poly2.zero()
+                Ai[j] = (pkk * Ai[j] - aik * Ak[j]) // prev
         prev = pkk
-    result = A[n - 1][n - 1]
-    return -result if sign < 0 else result
+    packed = sign * A[n - 1][n - 1]
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    terms = {}
+    slot = 0
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << bits
+        if c:
+            terms[divmod(slot, width)] = c
+        packed = (packed - c) >> bits
+        slot += 1
+    return Poly2(terms).scale(Fraction(1, scale))

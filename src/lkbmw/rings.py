@@ -889,9 +889,13 @@ class QuotientField:
         return CycElement(self, (k,) if k else (), 1)
 
     def embed(self, fe):
-        """Map a FieldElement in r only into the quotient field."""
+        """Map a FieldElement in r only into the quotient field; PoleError
+        when its denominator vanishes modulo the modulus."""
         num = self.element(_poly_to_dense_r(fe.num))
         den = self.element(_poly_to_dense_r(fe.den))
+        if den.is_zero():
+            raise PoleError("denominator %s vanishes modulo %s"
+                            % (fe.den, self.modulus))
         return num / den
 
     def __eq__(self, other):
@@ -1276,6 +1280,10 @@ class ExpressionError(ValueError):
 # the kernels run for hours
 MAX_R_DEGREE = 64
 
+# the deepest nesting of parentheses and unary signs that parse_r_expression
+# accepts; it bounds the parser's recursion well inside Python's stack limit
+MAX_NESTING = 64
+
 
 def _r_degree(fe):
     return max(fe.num.degree_r(), fe.den.degree_r())
@@ -1292,9 +1300,18 @@ def parse_r_expression(text):
     """Parse a rational expression in r (integers, + - * / ^, parentheses)
     into a FieldElement.  The keyword 'generic' is handled by the caller.
     Exponents and the r-degree of every intermediate result are capped at
-    MAX_R_DEGREE."""
+    MAX_R_DEGREE, and the nesting of parentheses and unary signs at
+    MAX_NESTING."""
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
+
+    def nest(step):
+        nonlocal depth
+        depth += step
+        if depth > MAX_NESTING:
+            raise ExpressionError("parentheses and signs nested deeper than %d"
+                                  % MAX_NESTING)
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -1330,13 +1347,13 @@ def parse_r_expression(text):
 
     def parse_factor():
         tok = peek()
-        if tok == "-":
-            take()
-            return -parse_factor()
-        if tok == "+":
-            take()
-            return parse_factor()
-        return parse_power()
+        if tok not in ("-", "+"):
+            return parse_power()
+        take()
+        nest(1)
+        node = parse_factor()
+        nest(-1)
+        return -node if tok == "-" else node
 
     def parse_power():
         base = parse_atom()
@@ -1364,9 +1381,11 @@ def parse_r_expression(text):
         if tok is None:
             raise ExpressionError("unexpected end of expression")
         if tok == "(":
+            nest(1)
             node = parse_expr()
             if take() != ")":
                 raise ExpressionError("unbalanced parentheses")
+            nest(-1)
             return node
         if tok == "r":
             return FieldElement.r()

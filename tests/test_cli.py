@@ -99,6 +99,23 @@ def test_exit_code_pole(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("l_expr,modulus", [("1/(r^2+1)", "cyclotomic:4"),
+                                             ("1/(r-1)", "cyclotomic:1")])
+def test_exit_code_pole_in_quotient(runner, l_expr, modulus):
+    result = runner.invoke(main, ["kernel", "--n", "4", "--l", l_expr,
+                                  "--modulus", modulus])
+    assert result.exit_code == 3, result.output
+    assert "vanishes modulo" in result.output
+
+
+@pytest.mark.parametrize("l_expr", ["(" * 1200 + "r" + ")" * 1200,
+                                    "-" * 1200 + "r"])
+def test_exit_code_deep_nesting(runner, l_expr):
+    result = runner.invoke(main, ["kernel", "--n", "4", "--l", l_expr])
+    assert result.exit_code == 3, result.output
+    assert "nested deeper" in result.output
+
+
 def test_exit_code_size_guard(runner, monkeypatch):
     monkeypatch.delenv("LK_SIZE_GUARD", raising=False)
     result = runner.invoke(main, ["det", "--n", "7"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lkbmw.rings import (FE_ONE, FE_ZERO, ExpressionError, FieldElement,
                          NonInvertibleError, PoleError, Poly2, QuotientField,
@@ -63,6 +63,12 @@ def test_pole_error_names_denominator():
         specialize(a, Specialization.l_to(R))
 
 
+def test_quotient_pole_raises_pole_error():
+    for l_value, m in (("1/(r^2+1)", 4), ("1/(r-1)", 1)):
+        with pytest.raises(PoleError, match="vanishes modulo"):
+            Specialization.l_to_mod(l_value, m)
+
+
 def test_non_invertible_in_reducible_quotient_names_gcd():
     # r^2 - 1 is reducible; r - 1 is a zero divisor there
     modulus = Poly2({(0, 2): 1, (0, 0): -1})
@@ -105,9 +111,15 @@ def _small_poly(draw):
     return Poly2({(a, b): c for a, b, c in terms if c})
 
 
+def _element(np, dp, k):
+    # dp + k is the zero polynomial when dp is the constant -k
+    den = dp + Poly2.monomial(0, 0, k)
+    assume(not den.is_zero())
+    return FieldElement(np, den)
+
+
 _elt = st.builds(
-    lambda np, dp, k: FieldElement(np, dp + Poly2.monomial(0, 0, k)),
-    st.composite(_small_poly)(), st.composite(_small_poly)(),
+    _element, st.composite(_small_poly)(), st.composite(_small_poly)(),
     st.integers(1, 3))
 
 
@@ -315,4 +327,15 @@ def test_parser_caps_exponents_and_degrees(monkeypatch):
     for bad in ("r^64*r", "1/r^64/r", "r^40 + 1/r^40",
                 "1/(r^40 + 1) + 1/(r^40 - 1)"):
         with pytest.raises(ExpressionError):
+            parse_r_expression(bad)
+
+
+def test_parser_caps_nesting():
+    # nesting levels count parentheses and unary signs together
+    assert parse_r_expression("(" * 64 + "r" + ")" * 64) == R
+    assert parse_r_expression("-" * 64 + "r") == R
+    assert parse_r_expression("-(" * 32 + "r" + ")" * 32) == R
+    for bad in ("(" * 65 + "r" + ")" * 65, "-" * 65 + "r",
+                "-(" * 32 + "-r" + ")" * 32, "+" * 65 + "r"):
+        with pytest.raises(ExpressionError, match="nested deeper"):
             parse_r_expression(bad)

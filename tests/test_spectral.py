@@ -1,8 +1,14 @@
 """Determinant locus, kernels, named vectors, submatrix search."""
 
+import json
+
 import pytest
+import sympy
+from click.testing import CliRunner
+from sympy.polys.matrices import DomainMatrix
 
 from lkbmw import linalg
+from lkbmw.cli import main
 from lkbmw.rings import FieldElement, Specialization
 from lkbmw.roots import RootIndex
 from lkbmw.spectral import (ALL_CASES, CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
@@ -206,3 +212,57 @@ def test_kernel_report_named_verdicts():
     verdicts = rep.named_verdicts()
     assert verdicts and all(verdicts.values())
     assert any(name.startswith("hk5") for name in verdicts)
+
+
+# -- det T(n) against sympy ----------------------------------------------------
+
+_SL, _SR = sympy.symbols("l r")
+
+
+def _sympy_poly(p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _SL ** a * _SR ** b
+                for (a, b), c in p.terms.items()), sympy.Integer(0))
+
+
+def _sympy_det_T(n, spec):
+    """det T(n) by sympy's own elimination over QQ(l, r)."""
+    field = sympy.QQ.frac_field(_SL, _SR)
+    rows = [[field.from_sympy(_sympy_poly(e.num) / _sympy_poly(e.den))
+             for e in row] for row in t_matrix(n, spec).entries]
+    dm = DomainMatrix(rows, (len(rows), len(rows)), field)
+    return field.to_sympy(dm.det())
+
+
+def _same(expr, fe):
+    return sympy.cancel(expr - _sympy_poly(fe.num) / _sympy_poly(fe.den)) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_generic_det_and_locus_match_sympy(n):
+    expected = _sympy_det_T(n, Specialization.generic())
+    assert _same(expected, det_T(n))
+    # every factor of the numerator with positive l-degree is l = eps r^k
+    numer = sympy.fraction(sympy.cancel(expected))[0]
+    sym_factors = {}
+    for f, mult in sympy.factor_list(numer, _SL, _SR)[1]:
+        if sympy.degree(f, _SL) > 0:
+            sym_factors[sympy.expand(f)] = mult
+    ours = {}
+    for f in reducibility_locus(n).factors:
+        p = sympy.expand(_sympy_poly(f.factor.num))
+        key = p if p in sym_factors else sympy.expand(-p)
+        ours[key] = f.multiplicity
+    assert ours == sym_factors
+
+
+def test_lcm_fallback_matches_sympy():
+    """l = 1 + r^2 puts r^2 + 1 into the row denominators, which only the lcm
+    fallback of the row clearing handles."""
+    spec = Specialization.l_to("1+r^2")
+    expected = _sympy_det_T(4, spec)
+    assert _same(expected, det_T(4, spec))
+    result = CliRunner().invoke(main, ["det", "--n", "4", "--l", "1+r^2"])
+    assert result.exit_code == 0
+    printed = json.loads(result.output)["det"].replace("^", "**")
+    assert sympy.cancel(sympy.sympify(printed, locals={"r": _SR})
+                        - expected) == 0
