@@ -14,6 +14,7 @@ Everything here is immutable after construction and safe to share freely.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 try:
@@ -106,6 +107,7 @@ def _d_degl(a):
 
 
 # dense univariate helpers: a list v with v[i] the coefficient of r^i --------
+# (ints or rationals; _u_divmod divides, so it takes rationals only)
 
 def _u_trim(v):
     while v and not v[-1]:
@@ -114,8 +116,7 @@ def _u_trim(v):
 
 
 def _u_sub(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
+    out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = c
     for i, c in enumerate(b):
@@ -126,7 +127,7 @@ def _u_sub(a, b):
 def _u_mul(a, b):
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
@@ -162,97 +163,93 @@ def _u_divexact(a, b):
     return q
 
 
-# integer dense univariate gcd (primitive PRS) ------------------------------
+# gcd: one primitive pseudo-remainder sequence (PRS) over two rings ---------
+#
+# A polynomial is a trimmed list of coefficients, lowest degree first.  The
+# coefficient ring is passed as the tuple (mul, sub, divexact, content) of
+# its operations, content(v) being the gcd of the entries of v up to a unit.
+# Over Z the coefficients are ints, so a polynomial is an element of Z[r];
+# over Z[r] they are such lists, so a polynomial is a ladder in Z[r][l].
 
-def _zu_content(v):
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
-def _zu_primitive(v):
-    v = [int(c) for c in v]
-    g = _zu_content(v)
-    if g > 1:
-        v = [c // g for c in v]
-    if v and v[-1] < 0:
-        v = [-c for c in v]
-    return v
-
-
-def _zu_prem(a, b):
-    """Pseudo-remainder of integer polynomials (up to sign/content)."""
+def _z_divexact(a, b):
+    """Exact division in Z[r]; raises ExactDivisionError otherwise."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        la, da = a[-1], len(a) - 1
-        a = [c * lb for c in a]
-        for j in range(db + 1):
-            a[da - db + j] -= la * b[j]
-        while a and not a[-1]:
-            a.pop()
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - db - 1, -1, -1):
+        c, rem = divmod(a[k + db], lb)
+        if rem:
+            raise ExactDivisionError("inexact integer division")
+        if c:
+            q[k] = c
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    if any(a[:db]):
+        raise ExactDivisionError("inexact integer division")
+    return q
+
+
+def _prem(a, b, mul, sub):
+    """Pseudo-remainder of a by b, with deg b >= 1."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(a) > db:
+        la = a.pop()
+        s = len(a) - db
+        a = [mul(c, lb) for c in a]
+        for j in range(db):
+            a[s + j] = sub(a[s + j], mul(la, b[j]))
+        _u_trim(a)
     return a
 
 
-def _zu_gcd_prs(a, b):
-    while b:
-        r = _zu_prem(a, b)
-        a, b = b, _zu_primitive(r)
-    return a
-
-
-def _zu_eval(v, xi):
-    acc = 0
-    for c in reversed(v):
-        acc = acc * xi + c
-    return acc
-
-
-def _zu_from_int(h, xi):
-    """Balanced base-xi digits of a nonnegative integer."""
-    digs = []
-    while h:
-        d = h % xi
-        if 2 * d > xi:
-            d -= xi
-        digs.append(d)
-        h = (h - d) // xi
-    return digs
-
-
-def _zu_divides(d, f):
-    q, rem = _u_divmod([_Q(c) for c in f], [_Q(c) for c in d])
-    return not rem
-
-
-def _zu_gcd(a, b):
-    """gcd in Z[r] of dense coefficient lists; primitive, positive leading.
-
-    The heuristic evaluate/reconstruct method is tried first (the candidate
-    is verified by exact trial division, so a miss is harmless); the
-    primitive-PRS walk is the fallback.
-    """
-    a, b = _zu_primitive(list(a)), _zu_primitive(list(b))
+def _prs_gcd(a, b, ring):
+    """gcd of the polynomials a and b up to a unit: the gcd of their contents
+    times the last nonzero primitive remainder of their primitive parts."""
     if not a:
         return b
     if not b:
         return a
+    mul, sub, divexact, content = ring
+    ca, cb = content(a), content(b)
+    a = [divexact(c, ca) for c in a]
+    b = [divexact(c, cb) for c in b]
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        return [1]
-    xi = 2 * min(max(abs(c) for c in a), max(abs(c) for c in b)) + 29
-    for _ in range(6):
-        fa, fb = _zu_eval(a, xi), _zu_eval(b, xi)
-        if fa and fb:
-            cand = _zu_primitive(_zu_from_int(math.gcd(fa, fb), xi))
-            if cand and _zu_divides(cand, a) and _zu_divides(cand, b):
-                return cand
-        xi = xi * 73794 // 27011 + 1
-    return _zu_gcd_prs(a, b)
+    while len(b) > 1:
+        rem = _prem(a, b, mul, sub)
+        if not rem:
+            break
+        cr = content(rem)
+        a, b = b, [divexact(c, cr) for c in rem]
+    g = content([ca, cb])
+    return [mul(g, c) for c in b]
+
+
+def _z_content(v):
+    """gcd of the ints in v.  Here and in _ladder a loop of two-argument
+    calls, not math.gcd(*v): the argument tuples that unpacking builds pile
+    up in the interpreter's tuple free lists and raise the peak memory."""
+    g = 0
+    for c in v:
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _zr_content(v):
+    """gcd in Z[r] of the entries of v, up to sign."""
+    g = []
+    for c in v:
+        g = _prs_gcd(g, c, _Z)
+        if len(g) == 1 and abs(g[0]) == 1:
+            break
+    return g
+
+
+_Z = (operator.mul, operator.sub, operator.floordiv, _z_content)
+_ZR = (_u_mul, _u_sub, _z_divexact, _zr_content)
 
 
 # conversions between the sparse dict and an (l-degree -> r-list) ladder ----
@@ -315,125 +312,25 @@ def _d_divexact(a, b):
     return _from_ll(Q)
 
 
-# bivariate gcd: primitive-part subresultant scheme in the variable l -------
+# bivariate gcd: the PRS in l over Z[r] ------------------------------------
 
-def _d_clear(a):
-    """Scale an mpq-coefficient dict to integer coefficients."""
-    if not a:
-        return {}
-    lcm = 1
-    for c in a.values():
-        d = c.denominator
-        lcm = lcm * d // math.gcd(lcm, int(d))
-    return {k: int(c * lcm) for k, c in a.items()}
-
-
-def _ll_rcontent(ll):
-    """gcd over Q[r] of the l-coefficients of an integer ladder."""
-    g = []
-    for row in ll:
-        if row:
-            g = _zu_gcd(g, row)
-            if g == [1]:
-                return [1]
-    return g
-
-
-def _ll_primitive(ll):
-    c = _ll_rcontent(ll)
-    if c == [1] or not c:
-        return ll, c
-    return [(_u_divexact(row, c) if row else []) for row in ll], c
-
-
-def _ll_trim(ll):
-    while ll and not ll[-1]:
-        ll.pop()
-    return ll
-
-
-def _ll_prem(A, B):
-    """Pseudo-remainder in l of integer ladders; deg_l(A) >= deg_l(B)."""
-    A = [list(r) for r in A]
-    db = len(B) - 1
-    lb = B[db]
-    while len(A) - 1 >= db and A:
-        la = A[-1]
-        da = len(A) - 1
-        A = [(_u_mul(row, lb) if row else []) for row in A[:-1]]
-        shift = da - db
-        for j in range(db):
-            p = _u_mul(B[j], la) if B[j] else []
-            if p:
-                A[shift + j] = _u_sub(A[shift + j], p)
-        _ll_trim(A)
-    return A
-
-
-def _intify(row):
-    return [int(c) for c in row]
+def _ladder(d):
+    """A positive integer multiple of a Q-coefficient dict, as a ladder of
+    integer r-coefficient lists."""
+    den = 1
+    for c in d.values():
+        den = math.lcm(den, int(c.denominator))
+    return [[int(c * den) for c in row] for row in _to_ll(d)]
 
 
 def _d_gcd(a, b):
     """gcd in Q[l, r], returned primitive over Z with positive lex-leading
-    coefficient.  Content over Q is extracted first; the l-part is handled by
-    a primitive-part subresultant remainder sequence."""
-    if not a:
-        return _zd_normalize(_d_clear(b))
-    if not b:
-        return _zd_normalize(_d_clear(a))
-    za, zb = _d_clear(a), _d_clear(b)
-    la, lb = _d_degl(za), _d_degl(zb)
-    if la == 0 and lb == 0:
-        ra = _intify(_to_ll(za)[0])
-        rb = _intify(_to_ll(zb)[0])
-        g = _zu_gcd(ra, rb)
-        return {(0, i): _Q(c) for i, c in enumerate(g) if c}
-    if la == 0:
-        ra = _intify(_to_ll(za)[0])
-        cb = _ll_rcontent([_intify(r) for r in _to_ll(zb)])
-        g = _zu_gcd(ra, cb)
-        return {(0, i): _Q(c) for i, c in enumerate(g) if c}
-    if lb == 0:
-        return _d_gcd(b, a)
-    A = [_intify(r) for r in _to_ll(za)]
-    B = [_intify(r) for r in _to_ll(zb)]
-    A, ca = _ll_primitive(A)
-    B, cb = _ll_primitive(B)
-    cont = _zu_gcd(ca, cb)
-    if len(A) < len(B):
-        A, B = B, A
-    while True:
-        if not B:
-            prim = A
-            break
-        if len(B) == 1:
-            prim = [[1]]
-            break
-        R = _ll_prem(A, B)
-        R, _ = _ll_primitive(R)
-        A, B = B, R
-    cont_d = {(0, i): _Q(c) for i, c in enumerate(cont) if c}
-    prim_d = {(a_, b_): _Q(c)
-              for a_, row in enumerate(prim) for b_, c in enumerate(row) if c}
-    return _zd_normalize(_d_mul(prim_d, cont_d))
-
-
-def _zd_normalize(d):
-    """Primitive integer form with positive leading (max-lex) coefficient."""
-    if not d:
-        return {}
-    z = _d_clear(d)
-    g = 0
-    for c in z.values():
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    if g > 1:
-        z = {k: c // g for k, c in z.items()}
-    if z[max(z)] < 0:
-        z = {k: -c for k, c in z.items()}
-    return {k: _Q(c) for k, c in z.items()}
+    coefficient."""
+    g = _from_ll(_prs_gcd(_ladder(a), _ladder(b), _ZR))
+    c = _z_content(g.values())
+    if g and g[max(g)] < 0:
+        c = -c
+    return {k: _Q(v // c) for k, v in g.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1119,13 +1016,7 @@ def specialize(a, s):
     b = a.subs_l(s.l_value)
     if not s.is_quotient:
         return b
-    fld = s._field
-    num = fld.element(_poly_to_dense_r(b.num))
-    den = fld.element(_poly_to_dense_r(b.den))
-    if den.is_zero():
-        raise PoleError(
-            "denominator (%s) vanishes modulo (%s)" % (b.den, s.modulus))
-    return num / den
+    return s._field.embed(b)
 
 
 class GenericContext:
@@ -1156,9 +1047,6 @@ class GenericContext:
 
     def x(self):
         return fe_x_of(self.l(), self.m())
-
-    def embed_r(self, fe):
-        return fe
 
     def __eq__(self, other):
         return isinstance(other, GenericContext)
@@ -1235,9 +1123,6 @@ class SpecializedQuotientContext:
         if self._x is None:
             self._x = self.one() - (self._l - self.l_inv()) / self._m
         return self._x
-
-    def embed_r(self, fe):
-        return self._fld.embed(fe)
 
     def __eq__(self, other):
         return (isinstance(other, SpecializedQuotientContext)

@@ -190,6 +190,16 @@ class LocusReport:
         return num * self.det.den == self.det.num * den
 
 
+def _vanishes_at(p, eps, k):
+    """Whether p(l = eps r^k, r) = 0, that is, whether the primitive form
+    of l - eps r^k divides p."""
+    slots = {}
+    for (a, b), c in p.terms.items():
+        s = b + k * a
+        slots[s] = slots.get(s, 0) + (-c if eps < 0 and a % 2 else c)
+    return not any(slots.values())
+
+
 def reducibility_locus(n, guard=6):
     """Factor the l-numerator of det T(n) against the candidates l = +-r^k,
     |k| <= 2n-3, greedily to maximal multiplicity."""
@@ -207,11 +217,8 @@ def reducibility_locus(n, guard=6):
         for eps in (1, -1):
             prim = Poly2({(1, max(0, -k)): 1, (0, max(0, k)): -eps})
             mult = 0
-            while True:
-                try:
-                    num = num.divexact(prim)
-                except ExactDivisionError:
-                    break
+            while _vanishes_at(num, eps, k):
+                num = num.divexact(prim)
                 mult += 1
             if mult:
                 fe = FieldElement(prim, Poly2.monomial(0, max(0, -k)))

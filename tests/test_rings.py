@@ -67,6 +67,8 @@ def test_quotient_pole_raises_pole_error():
     for l_value, m in (("1/(r^2+1)", 4), ("1/(r-1)", 1)):
         with pytest.raises(PoleError, match="vanishes modulo"):
             Specialization.l_to_mod(l_value, m)
+    with pytest.raises(PoleError, match="vanishes modulo"):
+        specialize(FE_ONE / (R * R + 1), Specialization.l_to_mod(R, 4))
 
 
 def test_non_invertible_in_reducible_quotient_names_gcd():
@@ -139,6 +141,78 @@ def test_field_axioms_on_random_elements(a):
     assert a - a == FE_ZERO
     if not a.is_zero():
         assert a * a.inverse() == FE_ONE
+
+
+# -- gcd in Q[l, r] against sympy ---------------------------------------------
+
+_PL, _PR, _P1 = Poly2.var_l(), Poly2.var_r(), Poly2.one()
+_BIG = 3 ** 40 + 2  # above 2^53, where a float quotient loses digits
+
+
+def test_gcd_with_coefficients_above_float_precision():
+    f = _PL.scale(_BIG) + _P1
+    r1 = _PR + _P1
+    a = f * (_PL + Poly2.const(3)) * r1
+    b = f * (_PL + Poly2.const(5)) * r1
+    assert a.gcd(b) == f * r1
+    e = FieldElement(a, b)
+    assert (e.num, e.den) == (_PL + Poly2.const(3), _PL + Poly2.const(5))
+    # the same in Z[r] alone
+    g = _PR.scale(_BIG) - Poly2.const(_BIG - 1)
+    a = g * (_PR + Poly2.const(3)) * (_PR - _P1.scale(2 ** 60))
+    b = g * (_PR.scale(5) + _P1) * _PR
+    assert a.gcd(b) == g
+
+
+_SL = sympy.Symbol("l")
+_gcd_coef = st.one_of(
+    st.integers(-9, 9), st.integers(2 ** 53, 2 ** 70),
+    st.integers(-2 ** 70, -2 ** 53), st.fractions(-9, 9, max_denominator=7))
+
+
+@st.composite
+def _gcd_factor(draw, r_only):
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, 0 if r_only else 2), st.integers(0, 3),
+                  _gcd_coef),
+        min_size=0, max_size=4))
+    return Poly2({(a, b): Fraction(c) for a, b, c in terms})
+
+
+@st.composite
+def _gcd_pair(draw):
+    """Two polynomials with a shared factor; zero and constant factors
+    included, and r-only pairs among them."""
+    r_only = draw(st.booleans())
+    f, g, h = (draw(_gcd_factor(r_only)) for _ in range(3))
+    return f * g, f * h
+
+
+def _to_sympy(p):
+    return sympy.Poly.from_dict(
+        {k: sympy.Rational(c.numerator, c.denominator)
+         for k, c in p.terms.items()}, _SL, _SR, domain=sympy.QQ)
+
+
+@given(pair=_gcd_pair())
+@settings(max_examples=80, deadline=None)
+def test_gcd_matches_sympy(pair):
+    a, b = pair
+    g = a.gcd(b)
+    sg, ref = _to_sympy(g), sympy.gcd(_to_sympy(a), _to_sympy(b))
+    if ref.is_zero:
+        assert g.is_zero()
+        return
+    # equal up to a rational unit
+    assert sg * ref.LC() == ref * sg.LC()
+    # primitive over Z with a positive lex-leading coefficient
+    coeffs = list(g.terms.values())
+    assert all(Fraction(c).denominator == 1 for c in coeffs)
+    assert math.gcd(*(int(c) for c in coeffs)) == 1
+    assert g.leading_coeff() > 0
+    # both cofactors are exact
+    for p in (a, b):
+        assert p.divexact(g) * g == p
 
 
 # -- cyclotomics --------------------------------------------------------------
