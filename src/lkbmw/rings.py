@@ -107,7 +107,7 @@ def _d_degl(a):
 
 
 # dense univariate helpers: a list v with v[i] the coefficient of r^i --------
-# (ints or rationals; _u_divmod divides, so it takes rationals only)
+# (ints or rationals; _u_divmod divides by a rational leading coefficient)
 
 def _u_trim(v):
     while v and not v[-1]:
@@ -142,7 +142,7 @@ def _u_divmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
+    db, lb = len(b) - 1, _Q(b[-1])
     q = [_ZERO] * max(len(a) - db, 0)
     for k in range(len(a) - db - 1, -1, -1):
         c = a[k + db]
@@ -211,6 +211,13 @@ def _prs_gcd(a, b, ring):
     if not b:
         return a
     mul, sub, divexact, content = ring
+    if not any(b[:-1]):
+        a, b = b, a
+    if not any(a[:-1]):
+        # a = c t^k: the gcd is content([c, *b]) t^min(k, ord_t b), and the
+        # small c first keeps every gcd inside content small
+        z = next(i for i, c in enumerate(b) if c)
+        return b[:min(len(a) - 1, z)] + [content([a[-1], *b])]
     ca, cb = content(a), content(b)
     a = [divexact(c, ca) for c in a]
     b = [divexact(c, cb) for c in b]

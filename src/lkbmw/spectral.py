@@ -3,11 +3,12 @@
 T(n) is the matrix of the sum of all nu(X_ij); its determinant as a function
 of l cuts out the reducibility locus, and its kernel K(n) at a specialized l
 is the intersection of the kernels of all the X_ij operators.  This module
-computes the determinant exactly (fraction-free, after clearing row
-denominators), extracts the locus by trial division against the candidate
-family l = +-r^k, computes kernels over Q(r) and over cyclotomic quotient
-fields, and carries a catalogue of the explicit spanning vectors with a
-membership checker.
+computes the determinant exactly (over Q(l, r) and Q(r) fraction-free, after
+clearing each row by the lcm of its denominators; over a cyclotomic quotient
+field by elimination in the field), extracts the locus by dividing out each
+candidate l = +-r^k at which the numerator vanishes, computes kernels over
+Q(r) and over cyclotomic quotient fields, and carries a catalogue of the
+explicit spanning vectors with a membership checker.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .rings import ExactDivisionError, FieldElement, Poly2, Specialization
+from .rings import FieldElement, Poly2, Specialization
 from .roots import RootIndex, num_roots
 from .xij import sum_matrix_direct
 
@@ -46,10 +47,13 @@ def t_matrix(n, spec):
 def det_T(n, spec=None, guard=6):
     """Exact determinant of T(n) over the target field.
 
-    Over the generic field the matrix is cleared row-by-row of denominators
-    and a fraction-free elimination runs on the polynomial matrix; the guard
-    refuses symbolic runs beyond n = guard (override by passing a larger
-    guard, or the LK_SIZE_GUARD environment variable on the command line).
+    Over Q(l, r) and Q(r) each row is cleared by the lcm of its entry
+    denominators, a fraction-free elimination runs on the polynomial matrix,
+    and the result is reduced once against the product of the row lcms; over
+    a cyclotomic quotient field the elimination runs in the field.  The
+    guard refuses symbolic runs beyond n = guard (override by passing a
+    larger guard, or the LK_SIZE_GUARD environment variable on the command
+    line).
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -65,80 +69,19 @@ def det_T(n, spec=None, guard=6):
     return _det_cleared(M)
 
 
-_SIMPLE_FACTORS = (Poly2.var_l(), Poly2.var_r(),
-                   Poly2({(0, 1): 1, (0, 0): -1}),   # r - 1
-                   Poly2({(0, 1): 1, (0, 0): 1}))    # r + 1
-
-
-def _den_profile(p):
-    """Write p = u l^a r^b (r-1)^c (r+1)^d; returns ((a,b,c,d), u) or None
-    when p has another factor."""
-    exps = [0, 0, 0, 0]
-    for idx, f in enumerate(_SIMPLE_FACTORS):
-        while True:
-            try:
-                p = p.divexact(f)
-            except ExactDivisionError:
-                break
-            exps[idx] += 1
-    if len(p) == 1 and p.leading_key() == (0, 0):
-        return tuple(exps), p.leading_coeff()
-    return None
-
-
 def _det_cleared(M):
-    """Exact determinant over Q(l, r) or Q(r): clear each row's denominator
-    (a product of l, r, r-1, r+1 for every matrix built here), run the
-    fraction-free elimination, then strip the cleared factors back off by
-    trial division.  No large-polynomial gcd is ever taken."""
-    size = len(M)
+    """Exact determinant over Q(l, r) or Q(r): clear each row by the lcm of
+    its entry denominators, run the fraction-free elimination on the cleared
+    rows, and reduce the result once against the product of the row lcms."""
     cleared = []
-    total = [0, 0, 0, 0]
-    fallback_dens = []
-    generic_path = False
-    for row in M:
-        profiles = [_den_profile(e.den) for e in row]
-        if any(p is None for p in profiles):
-            generic_path = True
-            break
-        exps = [max(p[0][i] for p in profiles) for i in range(4)]
-        for i in range(4):
-            total[i] += exps[i]
-        new_row = []
-        for e, (pexps, unit) in zip(row, profiles):
-            mult = Poly2.one()
-            for i, f in enumerate(_SIMPLE_FACTORS):
-                mult = mult * f ** (exps[i] - pexps[i])
-            new_row.append((e.num * mult).scale(1 / unit))
-        cleared.append(new_row)
-    if generic_path:
-        cleared, dens = [], []
-        for row in M:
-            lcm = Poly2.one()
-            for e in row:
-                g = lcm.gcd(e.den)
-                lcm = lcm.divexact(g) * e.den
-            cleared.append([e.num * lcm.divexact(e.den) for e in row])
-            dens.append(lcm)
-        det = FieldElement(linalg.bareiss_det_poly(cleared))
-        for d in dens:
-            det = det / FieldElement(d)
-        return det
-    num = linalg.bareiss_det_poly(cleared)
-    if num.is_zero():
-        return FieldElement(Poly2.zero())
-    rem = list(total)
-    for i, f in enumerate(_SIMPLE_FACTORS):
-        while rem[i] > 0:
-            try:
-                num = num.divexact(f)
-            except ExactDivisionError:
-                break
-            rem[i] -= 1
     den = Poly2.one()
-    for i, f in enumerate(_SIMPLE_FACTORS):
-        den = den * f ** rem[i]
-    return FieldElement(num, den, reduce=False)
+    for row in M:
+        lcm = Poly2.one()
+        for e in row:
+            lcm = lcm.divexact(lcm.gcd(e.den)) * e.den
+        cleared.append([e.num * lcm.divexact(e.den) for e in row])
+        den = den * lcm
+    return FieldElement(linalg.bareiss_det_poly(cleared), den)
 
 
 @dataclass
@@ -400,6 +343,8 @@ def named_vectors(n, case):
     """The explicit kernel vectors known for the given case and size."""
     if case not in ALL_CASES:
         raise ValueError("unknown case %r; one of %s" % (case, ALL_CASES))
+    if n < 3:
+        raise ValueError("n must be at least 3")
     out = []
 
     def emit(name, spec, coords):
@@ -438,8 +383,6 @@ def named_vectors(n, case):
 
     if case in (CASE_NM1_PLUS, CASE_NM1_MINUS):
         eps = 1 if case == CASE_NM1_PLUS else -1
-        if n < 3:
-            raise ValueError("the (n-1)-family needs n >= 3")
         spec = _spec_nm1(n, eps)
         ctx = spec.field()
         for i in range(1, n):
@@ -597,6 +540,8 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
         col_pool = list(range(1, N + 1))
     if any(not 1 <= i <= N for i in list(row_pool) + list(col_pool)):
         raise ValueError("row and column indices must lie in 1..%d" % N)
+    if size < 1:
+        raise ValueError("size must be at least 1")
     if size > len(row_pool) or size > len(col_pool):
         raise ValueError("size exceeds the index pools")
     M = t_matrix(n, spec).entries

@@ -155,6 +155,8 @@ def sum_matrix(mats):
 
 def sum_matrix_direct(n, spec=None):
     """T(n) assembled from the direct dispatch; cheap at any size."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
     if spec is None:
         spec = Specialization.generic()
     ctx = spec.field()

@@ -87,6 +87,11 @@ def test_exit_code_parse_error(runner):
      "--rows", "0", "--cols", "0"],
     ["rank-witness", "--n", "4", "--l", "r", "--size", "1", "--rows", "99"],
     ["rank-witness", "--n", "4", "--l", "r", "--size", "1", "--cols", "7"],
+    ["rank-witness", "--n", "4", "--l", "r", "--size", "0"],
+    ["sum-matrix", "--n", "-3"],
+    ["sum-matrix", "--n", "0"],
+    ["sum-matrix", "--n", "2"],
+    ["check-vectors", "--n", "2", "--case", "l=r"],
 ])
 def test_exit_code_out_of_range_input(runner, args):
     result = runner.invoke(main, args)

@@ -1,5 +1,6 @@
 """Exact arithmetic: canonical forms, specialization, cyclotomics."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from lkbmw.rings import (FE_ONE, FE_ZERO, ExpressionError, FieldElement,
                          NonInvertibleError, PoleError, Poly2, QuotientField,
                          Specialization, cyclotomic, fe_m, fe_x_of,
                          is_semisimple_point, parse_r_expression, specialize)
+from lkbmw.linalg import bareiss_det_poly
+from lkbmw.spectral import det_T, t_matrix
 
 R = FieldElement.r()
 L = FieldElement.l()
@@ -164,6 +167,13 @@ def test_gcd_with_coefficients_above_float_precision():
     assert a.gcd(b) == g
 
 
+def test_divexact_of_int_coefficients_is_exact():
+    """Int coefficients divide over Q, not as floats."""
+    assert str(Poly2({(0, 1): 3}).divexact(Poly2({(0, 0): 2}))) == "3/2*r"
+    q = Poly2({(0, 1): _BIG * _BIG}).divexact(Poly2({(0, 0): _BIG}))
+    assert q == Poly2({(0, 1): _BIG})
+
+
 _SL = sympy.Symbol("l")
 _gcd_coef = st.one_of(
     st.integers(-9, 9), st.integers(2 ** 53, 2 ** 70),
@@ -182,10 +192,21 @@ def _gcd_factor(draw, r_only):
 @st.composite
 def _gcd_pair(draw):
     """Two polynomials with a shared factor; zero and constant factors
-    included, and r-only pairs among them."""
+    included, and r-only pairs among them.  In half the pairs one argument,
+    first or second, is a monomial in the PRS's main variable: c l^k u(r),
+    or c r^k when the pair is r-only."""
     r_only = draw(st.booleans())
     f, g, h = (draw(_gcd_factor(r_only)) for _ in range(3))
-    return f * g, f * h
+    if not draw(st.booleans()):
+        return f * g, f * h
+    k, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if r_only:
+        mono, other = _PR ** k, _PR ** j * h
+    else:
+        u, w = draw(_gcd_factor(True)), draw(_gcd_factor(True))
+        mono, other = _PL ** k * u * w, _PL ** j * u * h
+    mono = mono.scale(draw(_gcd_coef))
+    return (mono, other) if draw(st.booleans()) else (other, mono)
 
 
 def _to_sympy(p):
@@ -195,7 +216,7 @@ def _to_sympy(p):
 
 
 @given(pair=_gcd_pair())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_gcd_matches_sympy(pair):
     a, b = pair
     g = a.gcd(b)
@@ -213,6 +234,29 @@ def test_gcd_matches_sympy(pair):
     # both cofactors are exact
     for p in (a, b):
         assert p.divexact(g) * g == p
+
+
+def _from_sympy(p):
+    return Poly2({k: Fraction(int(c.p), int(c.q)) for k, c in p.terms()})
+
+
+@pytest.mark.parametrize("n,expected", [(4, "1"), (5, "r^2")])
+def test_gcd_of_cleared_det_numerator_matches_sympy(n, expected):
+    """The one gcd that reduces det T(n): the numerator of the rows cleared
+    by their lcms against the lcms' product, a power of l times a
+    polynomial in r."""
+    rows, den = [], _P1
+    for row in t_matrix(n, Specialization.generic()).entries:
+        lcm = _from_sympy(functools.reduce(
+            sympy.lcm, (_to_sympy(e.den) for e in row)))
+        rows.append([e.num * lcm.divexact(e.den) for e in row])
+        den = den * lcm
+    num = bareiss_det_poly(rows)
+    g = num.gcd(den)
+    sg, ref = _to_sympy(g), sympy.gcd(_to_sympy(num), _to_sympy(den))
+    assert str(g) == expected
+    assert sg * ref.LC() == ref * sg.LC()
+    assert FieldElement(num, den) == det_T(n)
 
 
 # -- cyclotomics --------------------------------------------------------------

@@ -255,13 +255,16 @@ def test_generic_det_and_locus_match_sympy(n):
     assert ours == sym_factors
 
 
-def test_lcm_fallback_matches_sympy():
-    """l = 1 + r^2 puts r^2 + 1 into the row denominators, which only the lcm
-    fallback of the row clearing handles."""
-    spec = Specialization.l_to("1+r^2")
+@pytest.mark.parametrize("l_expr", ["1+r^2", "1/(r^2+1)", "3/(2*r+5)",
+                                    "(r^2+r+1)/(r-2)"])
+def test_lcm_fallback_matches_sympy(l_expr):
+    """Each l puts a factor other than l, r and r +- 1 into the row
+    denominators of T(4) over Q(r); the determinant of the rows cleared by
+    their lcms, and its printed form, match sympy."""
+    spec = Specialization.l_to(l_expr)
     expected = _sympy_det_T(4, spec)
     assert _same(expected, det_T(4, spec))
-    result = CliRunner().invoke(main, ["det", "--n", "4", "--l", "1+r^2"])
+    result = CliRunner().invoke(main, ["det", "--n", "4", "--l", l_expr])
     assert result.exit_code == 0
     printed = json.loads(result.output)["det"].replace("^", "**")
     assert sympy.cancel(sympy.sympify(printed, locals={"r": _SR})
