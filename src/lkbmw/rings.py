@@ -13,6 +13,7 @@ Everything here is immutable after construction and safe to share freely.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -107,7 +108,7 @@ def _d_degl(a):
 
 
 # dense univariate helpers: a list v with v[i] the coefficient of r^i --------
-# (ints or rationals; _u_divmod divides by a rational leading coefficient)
+# (ints on the integer ladders below, rationals in CycElement.inverse)
 
 def _u_trim(v):
     while v and not v[-1]:
@@ -156,38 +157,13 @@ def _u_divmod(a, b):
     return _u_trim(q), _u_trim(a[:db])
 
 
-def _u_divexact(a, b):
-    q, rem = _u_divmod(a, b)
-    if rem:
-        raise ExactDivisionError("inexact univariate division")
-    return q
-
-
-# gcd: one primitive pseudo-remainder sequence (PRS) over two rings ---------
+# gcd and exact division over two integer rings ----------------------------
 #
 # A polynomial is a trimmed list of coefficients, lowest degree first.  The
 # coefficient ring is passed as the tuple (mul, sub, divexact, content) of
 # its operations, content(v) being the gcd of the entries of v up to a unit.
 # Over Z the coefficients are ints, so a polynomial is an element of Z[r];
 # over Z[r] they are such lists, so a polynomial is a ladder in Z[r][l].
-
-def _z_divexact(a, b):
-    """Exact division in Z[r]; raises ExactDivisionError otherwise."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - db - 1, -1, -1):
-        c, rem = divmod(a[k + db], lb)
-        if rem:
-            raise ExactDivisionError("inexact integer division")
-        if c:
-            q[k] = c
-            for j in range(db):
-                a[k + j] -= c * b[j]
-    if any(a[:db]):
-        raise ExactDivisionError("inexact integer division")
-    return q
-
 
 def _prem(a, b, mul, sub):
     """Pseudo-remainder of a by b, with deg b >= 1."""
@@ -201,6 +177,26 @@ def _prem(a, b, mul, sub):
             a[s + j] = sub(a[s + j], mul(la, b[j]))
         _u_trim(a)
     return a
+
+
+def _divexact(a, b, ring):
+    """The quotient a / b of polynomials over the ring; raises
+    ExactDivisionError when b does not divide a."""
+    mul, sub, divexact, _ = ring
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = []
+    while len(a) > db:
+        c = divexact(a.pop(), lb)
+        q.append(c)
+        if c:
+            s = len(a) - db
+            for j in range(db):
+                a[s + j] = sub(a[s + j], mul(c, b[j]))
+    if any(a):
+        raise ExactDivisionError("inexact polynomial division")
+    q.reverse()
+    return q
 
 
 def _prs_gcd(a, b, ring):
@@ -255,26 +251,33 @@ def _zr_content(v):
     return g
 
 
-_Z = (operator.mul, operator.sub, operator.floordiv, _z_content)
-_ZR = (_u_mul, _u_sub, _z_divexact, _zr_content)
+def _int_divexact(a, b):
+    q, rem = divmod(a, b)
+    if rem:
+        raise ExactDivisionError("inexact integer division")
+    return q
 
 
-# conversions between the sparse dict and an (l-degree -> r-list) ladder ----
+_Z = (operator.mul, operator.sub, _int_divexact, _z_content)
+_ZR = (_u_mul, _u_sub, functools.partial(_divexact, ring=_Z), _zr_content)
 
-def _to_ll(d):
-    """Sparse dict -> list over deg_l of dense r-coefficient lists."""
-    dl = _d_degl(d)
-    out = [[] for _ in range(dl + 1)]
-    buckets = {}
+
+# Q[l, r] on integer ladders: the ladder of a dict d is the list over deg_l
+# of the dense integer r-coefficient lists of den * d, for an integer den > 0
+
+def _ladder(d):
+    """(L, den): den the lcm of the coefficient denominators of d, and L the
+    ladder of den * d."""
+    den = 1
+    for c in d.values():
+        den = math.lcm(den, int(c.denominator))
+    out = [[] for _ in range(_d_degl(d) + 1)]
     for (a, b), c in d.items():
-        buckets.setdefault(a, []).append((b, c))
-    for a, terms in buckets.items():
-        top = max(b for b, _ in terms)
-        row = [_ZERO] * (top + 1)
-        for b, c in terms:
-            row[b] = c
-        out[a] = row
-    return out
+        row = out[a]
+        if len(row) <= b:
+            row.extend([0] * (b + 1 - len(row)))
+        row[b] = int(c.numerator) * (den // int(c.denominator))
+    return out, den
 
 
 def _from_ll(ll):
@@ -287,53 +290,30 @@ def _from_ll(ll):
 
 
 def _d_divexact(a, b):
-    """Exact division in Q[l, r]; raises ExactDivisionError otherwise."""
+    """Exact division in Q[l, r]; raises ExactDivisionError otherwise.
+
+    The division runs on integer ladders: A = da * a, and B = db * b / cb
+    with cb the integer content of db * b, so that B is primitive.  By
+    Gauss's lemma an integer polynomial that a primitive one divides over Q
+    has an integer quotient, so B divides A in Z[r][l] exactly when b divides
+    a in Q[l, r], and a / b = (A / B) * db / (da * cb)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
-    A, B = _to_ll(a), _to_ll(b)
-    da, db = len(A) - 1, len(B) - 1
-    if da < db:
-        raise ExactDivisionError("inexact bivariate division")
-    lead = B[db]
-    Q = [[] for _ in range(da - db + 1)]
-    R = [list(row) for row in A]
-    for k in range(da - db, -1, -1):
-        num = _u_trim(list(R[k + db]))
-        if not num:
-            continue
-        qk = _u_divexact(num, lead)
-        Q[k] = qk
-        for j in range(db + 1):
-            if B[j] and qk:
-                prod = _u_mul(B[j], qk)
-                row = R[k + j]
-                if len(row) < len(prod):
-                    row.extend([_ZERO] * (len(prod) - len(row)))
-                for i, c in enumerate(prod):
-                    row[i] = row[i] - c
-    for row in R[:db]:
-        if any(row):
-            raise ExactDivisionError("inexact bivariate division")
-    return _from_ll(Q)
-
-
-# bivariate gcd: the PRS in l over Z[r] ------------------------------------
-
-def _ladder(d):
-    """A positive integer multiple of a Q-coefficient dict, as a ladder of
-    integer r-coefficient lists."""
-    den = 1
-    for c in d.values():
-        den = math.lcm(den, int(c.denominator))
-    return [[int(c * den) for c in row] for row in _to_ll(d)]
+    A, da = _ladder(a)
+    B, db = _ladder(b)
+    cb = _z_content(c for row in B for c in row)
+    if cb != 1:
+        B = [[c // cb for c in row] for row in B]
+    q, den = _from_ll(_divexact(A, B, _ZR)), da * cb
+    return {k: _Q(c * db, den) for k, c in q.items()}
 
 
 def _d_gcd(a, b):
     """gcd in Q[l, r], returned primitive over Z with positive lex-leading
     coefficient."""
-    g = _from_ll(_prs_gcd(_ladder(a), _ladder(b), _ZR))
+    g = _from_ll(_prs_gcd(_ladder(a)[0], _ladder(b)[0], _ZR))
     c = _z_content(g.values())
     if g and g[max(g)] < 0:
         c = -c
@@ -641,27 +621,16 @@ def _fe_reduce(num, den):
         return Poly2.zero(), _P_ONE
     if den.is_one():
         return num, den
-    if len(den) == 1:
-        # gcd with a monomial is a pure degree shift
-        a, b = den.leading_key()
-        va = min(a, min(dl for dl, _ in num.terms))
-        vb = min(b, min(dr for _, dr in num.terms))
+    if len(num) == 1 or len(den) == 1:
+        # the gcd with a monomial is the monomial l^va r^vb of the least
+        # degrees over both sides, so the reduction is a pure degree shift
+        keys = [*num.terms, *den.terms]
+        va = min(dl for dl, _ in keys)
+        vb = min(dr for _, dr in keys)
         if va or vb:
             num = _monomial_shift(num, va, vb)
             den = _monomial_shift(den, va, vb)
-    elif len(num) == 1:
-        a, b = num.leading_key()
-        va = min(a, min(dl for dl, _ in den.terms))
-        vb = min(b, min(dr for _, dr in den.terms))
-        if va or vb:
-            num = _monomial_shift(num, va, vb)
-            den = _monomial_shift(den, va, vb)
-        if not den.is_one():
-            g = num.gcd(den)
-            if not (len(g) == 1 and g.leading_key() == (0, 0)):
-                num = num.divexact(g)
-                den = den.divexact(g)
-    elif not num.is_one():
+    else:
         g = num.gcd(den)
         if not (len(g) == 1 and g.leading_key() == (0, 0)):
             num = num.divexact(g)

@@ -13,6 +13,7 @@ explicit spanning vectors with a membership checker.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -27,17 +28,11 @@ class SizeGuardError(RuntimeError):
     """Raised when a symbolic determinant exceeds the feasibility guard."""
 
 
-_T_CACHE = {}
-
-
+# a command reads T(n) at one or two specializations; the last few are kept
+@functools.lru_cache(maxsize=8)
 def t_matrix(n, spec):
     """T(n) over the field of the specialization (cached)."""
-    key = (n, spec)
-    M = _T_CACHE.get(key)
-    if M is None:
-        M = sum_matrix_direct(n, spec)
-        _T_CACHE[key] = M
-    return M
+    return sum_matrix_direct(n, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +510,13 @@ def _triple_4(ctx):
 
 
 def check_named(n, case):
-    """Membership verdicts for every vector of a case."""
-    return {v.name: check_membership(v) for v in named_vectors(n, case)}
+    """Membership verdicts for every vector of a case; ValueError when the
+    catalogue has no vectors for the case at this n."""
+    vectors = named_vectors(n, case)
+    if not vectors:
+        raise ValueError("no catalogued vectors for case %s at n=%d"
+                         % (case, n))
+    return {v.name: check_membership(v) for v in vectors}
 
 
 # ---------------------------------------------------------------------------

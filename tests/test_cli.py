@@ -92,6 +92,7 @@ def test_exit_code_parse_error(runner):
     ["sum-matrix", "--n", "0"],
     ["sum-matrix", "--n", "2"],
     ["check-vectors", "--n", "2", "--case", "l=r"],
+    ["check-vectors", "--n", "3", "--case", "l=r"],
 ])
 def test_exit_code_out_of_range_input(runner, args):
     result = runner.invoke(main, args)

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from lkbmw.rings import (FE_ONE, FE_ZERO, ExpressionError, FieldElement,
-                         NonInvertibleError, PoleError, Poly2, QuotientField,
+from lkbmw.rings import (FE_ONE, FE_ZERO, ExactDivisionError,
+                         ExpressionError, FieldElement, NonInvertibleError,
+                         PoleError, Poly2, QuotientField,
                          Specialization, cyclotomic, fe_m, fe_x_of,
                          is_semisimple_point, parse_r_expression, specialize)
 from lkbmw.linalg import bareiss_det_poly
@@ -234,6 +235,38 @@ def test_gcd_matches_sympy(pair):
     # both cofactors are exact
     for p in (a, b):
         assert p.divexact(g) * g == p
+
+
+@st.composite
+def _divexact_pair(draw):
+    """A dividend and a nonzero divisor, both r-only or both bivariate.  The
+    divisor is scaled by a drawn coefficient, so it is rarely primitive over
+    Z; in half the pairs the dividend is a multiple of it plus a drawn
+    remainder."""
+    r_only = draw(st.booleans())
+    a, b = draw(_gcd_factor(r_only)), draw(_gcd_factor(r_only))
+    assume(not b.is_zero())
+    b = b.scale(draw(_gcd_coef.filter(bool)))
+    if draw(st.booleans()):
+        a = a * b + draw(_gcd_factor(r_only))
+    return a, b
+
+
+@given(pair=_divexact_pair())
+# l / (2l + r): only the leading coefficients show the division inexact
+@example(pair=(_PL, _PL.scale(2) + _PR))
+@settings(max_examples=160, deadline=None)
+def test_divexact_matches_sympy(pair):
+    a, b = pair
+    assert (a * b).divexact(b) == a
+    # one polynomial is a Groebner basis of its ideal, so sympy's remainder
+    # is zero exactly when b divides a
+    q, rem = sympy.div(_to_sympy(a), _to_sympy(b))
+    if rem.is_zero:
+        assert _to_sympy(a.divexact(b)) == q
+    else:
+        with pytest.raises(ExactDivisionError):
+            a.divexact(b)
 
 
 def _from_sympy(p):

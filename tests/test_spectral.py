@@ -180,6 +180,14 @@ def test_unknown_case_rejected():
         named_vectors(5, "no-such-case")
 
 
+def test_t_matrix_cache_is_bounded():
+    for k in range(20):
+        spec = Specialization.l_to("r^%d" % (k + 2))
+        assert t_matrix(3, spec) is t_matrix(3, spec)
+    info = t_matrix.cache_info()
+    assert info.currsize <= info.maxsize < 20
+
+
 # -- submatrix fixtures --------------------------------------------------------
 
 def test_five_strand_submatrix_determinant():
