@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import sys
+from fractions import Fraction
 
 import click
 
-from . import spectral, specht as specht_mod
+from . import rings, spectral, specht as specht_mod
 from .rep import build_matrices, verify_relations
 from .rings import (ExpressionError, NonInvertibleError, PoleError,
                     Specialization, cyclotomic, parse_r_expression)
@@ -19,6 +21,10 @@ EXIT_OK = 0
 EXIT_GOLDEN_MISMATCH = 2
 EXIT_INPUT_ERROR = 3
 EXIT_SIZE_GUARD = 4
+
+# the largest n any command accepts: T(n) has n(n-1)/2 rows, so far larger n
+# would run for hours or exhaust memory
+MAX_N = 12
 
 
 def _fail(code, kind, message):
@@ -52,10 +58,19 @@ def _parse_spec(l_expr, modulus):
 
 
 def _guard():
+    value = os.environ.get("LK_SIZE_GUARD", "6")
     try:
-        return int(os.environ.get("LK_SIZE_GUARD", "6"))
+        return int(value)
     except ValueError:
-        return 6
+        _fail(EXIT_INPUT_ERROR, "input",
+              "LK_SIZE_GUARD must be an integer, not %r" % value)
+
+
+def _cap(n):
+    """Refuse n above MAX_N before any matrix is built."""
+    if n > MAX_N:
+        _fail(EXIT_SIZE_GUARD, "size-guard",
+              "n=%d exceeds the largest supported size %d" % (n, MAX_N))
 
 
 def _matrix_strings(M):
@@ -102,6 +117,7 @@ def main():
 @_common
 def matrices(n, l_expr, modulus, output, golden):
     """The generator matrices G_i, E_i, G_i^{-1}."""
+    _cap(n)
     spec = _parse_spec(l_expr, modulus)
     try:
         mats = build_matrices(n, spec)
@@ -124,6 +140,7 @@ def matrices(n, l_expr, modulus, output, golden):
 @_common
 def verify(n, l_expr, modulus, output, golden):
     """Check every defining relation on the matrices."""
+    _cap(n)
     spec = _parse_spec(l_expr, modulus)
     try:
         report = verify_relations(build_matrices(n, spec))
@@ -147,6 +164,7 @@ def verify(n, l_expr, modulus, output, golden):
 @_common
 def sum_matrix_cmd(n, l_expr, modulus, output, golden):
     """The dense matrix T(n) of the summed conjugate operators."""
+    _cap(n)
     spec = _parse_spec(l_expr, modulus)
     try:
         T = sum_matrix_direct(n, spec)
@@ -165,6 +183,7 @@ def sum_matrix_cmd(n, l_expr, modulus, output, golden):
 @_common
 def det(n, l_expr, modulus, output, golden):
     """det T(n) over the chosen field."""
+    _cap(n)
     spec = _parse_spec(l_expr, modulus)
     try:
         value = spectral.det_T(n, spec, guard=_guard())
@@ -182,6 +201,7 @@ def det(n, l_expr, modulus, output, golden):
 @_common
 def locus(n, output, golden):
     """Reducibility locus of det T(n) in the parameter l."""
+    _cap(n)
     try:
         rep = spectral.reducibility_locus(n, guard=_guard())
     except spectral.SizeGuardError as exc:
@@ -210,6 +230,7 @@ def locus(n, output, golden):
 @_common
 def kernel(n, l_expr, modulus, output, golden):
     """Basis and dimension of K(n) = Ker T(n) at a specialized l."""
+    _cap(n)
     spec = _parse_spec(l_expr, modulus)
     try:
         rep = spectral.kernel(n, spec)
@@ -231,6 +252,7 @@ def kernel(n, l_expr, modulus, output, golden):
 @_common
 def check_vectors(n, case, output, golden):
     """Membership verdicts for the catalogued spanning vectors."""
+    _cap(n)
     try:
         verdicts = spectral.check_named(n, case)
     except ValueError as exc:
@@ -254,6 +276,7 @@ def check_vectors(n, case, output, golden):
 def rank_witness(n, l_expr, modulus, size, rows, cols, output, golden):
     """First invertible size x size submatrix of T(n), scanning columns
     outermost in lexicographic order."""
+    _cap(n)
     spec = _parse_spec(l_expr, modulus)
     try:
         row_pool = [int(t) for t in rows.split(",")] if rows else None
@@ -281,8 +304,8 @@ def rank_witness(n, l_expr, modulus, size, rows, cols, output, golden):
 @_common
 def specht(n, gap_check, output, golden):
     """Hook-length dimensions of the irreducibles of Sym(n)."""
-    if n < 1 or n > 12:
-        _fail(EXIT_INPUT_ERROR, "input", "n must be between 1 and 12")
+    if n < 1 or n > MAX_N:
+        _fail(EXIT_INPUT_ERROR, "input", "n must be between 1 and %d" % MAX_N)
     dims = specht_mod.sym_dims(n)
     payload = {"command": "specht", "n": n,
                "dims": [[list(p.parts), d] for p, d in dims]}
@@ -294,6 +317,15 @@ def specht(n, gap_check, output, golden):
                                  for p, d in specht_mod.gap_violations(n)]
         lines.append("gap check: %s" % ok)
     _emit(payload, output, golden, lines)
+
+
+@main.command()
+def info():
+    """The arithmetic backend and the Python version, as JSON."""
+    payload = {"command": "info",
+               "backend": "Fraction" if rings._Q is Fraction else "gmpy2",
+               "python": platform.python_version()}
+    click.echo(json.dumps(payload, indent=1, sort_keys=True))
 
 
 if __name__ == "__main__":

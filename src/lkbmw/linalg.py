@@ -3,15 +3,17 @@
 Matrices are plain lists of lists of field elements (FieldElement or
 CycElement); every routine works for any element type supporting +, -, *, /,
 is_zero() and complexity().  Construction is sparse-friendly: products skip
-zero entries.
+zero entries.  The exceptions take integer data: rref_zr and kernel_basis_zr
+a matrix over Z[r], bareiss_det_poly a matrix of Poly2 that int_row clears
+to integer coefficients row by row.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .rings import Poly2
+from .rings import (_Q, _Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _den_lcm,
+                    _divexact, _prs_gcd, _u_mul, _u_sub, _zr_content)
 
 
 def identity(n, ctx):
@@ -190,6 +192,89 @@ def kernel_basis(M, ctx):
     return basis
 
 
+def rref_zr(M):
+    """rref over Q(r) of a matrix over Z[r], entries dense int coefficient
+    lists (the coefficient of r^i at index i), kept inside Z[r].
+
+    Returns (rows, pivot_cols): every row is primitive in Z[r], vanishes in
+    the other rows' pivot columns, and divided by its own pivot entry is the
+    row rref returns.  Gauss-Jordan elimination: with pivot p in row k and
+    entry a in row i, row i becomes (p/g) row_i - (a/g) row_k for
+    g = gcd(p, a), and is then divided by its content.  Keeping every row
+    primitive holds the entries to the size of the reduced echelon form's
+    numerators and denominators; without it they grow like minors.
+    """
+    A = [_zr_primitive(row) for row in M]
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        best = None
+        for i in range(rank, nrows):
+            e = A[i][col]
+            if e:
+                c = len(e) - e.count(0)
+                if best is None or c < best:
+                    best, piv = c, i
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        prow = A[rank]
+        p = prow[col]
+        for i in range(nrows):
+            a = A[i][col]
+            if i == rank or not a:
+                continue
+            g = _prs_gcd(p, a, _Z)
+            pg, ag = _zdiv(p, g), _zdiv(a, g)
+            A[i] = _zr_primitive([_u_sub(_u_mul(pg, x), _u_mul(ag, y))
+                                  for x, y in zip(A[i], prow)])
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return A[:rank], pivots
+
+
+def kernel_basis_zr(M):
+    """kernel_basis over Q(r) of a matrix over Z[r] (as for rref_zr), with
+    FieldElement entries; the pivot entries become v[p] = -row[f] / row[p]."""
+    R, pivots = rref_zr(M)
+    ncols = len(M[0]) if M else 0
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [FE_ZERO] * ncols
+        v[f] = FE_ONE
+        for row, p in zip(R, pivots):
+            if row[f]:
+                v[p] = -FieldElement(_zr_poly(row[f]), _zr_poly(row[p]))
+        basis.append(v)
+    return basis
+
+
+def _zdiv(a, g):
+    return a if g == [1] else _divexact(a, g, _Z)
+
+
+def _zr_primitive(row):
+    """The row divided by the gcd of its entries in Z[r].  The shortest
+    entries go first, so the running gcd shrinks early and _zr_content
+    reaches a unit, where it stops, after few of them."""
+    c = _zr_content(sorted(filter(None, row), key=len))
+    if c in ([], [1], [-1]):
+        return row
+    return [_divexact(e, c, _Z) if e else e for e in row]
+
+
+def _zr_poly(v):
+    return Poly2({(0, i): _Q(c) for i, c in enumerate(v) if c})
+
+
 def rank(M, ctx):
     return len(rref(M, ctx)[0])
 
@@ -200,6 +285,14 @@ def submatrix(M, rows, cols):
 
 
 # -- fraction-free determinant over Q[l, r] ---------------------------------
+
+def int_row(row):
+    """(d, cleared): d the lcm of the coefficient denominators of a row of
+    Poly2, and cleared the row times d as dicts of int coefficients."""
+    d = _den_lcm(c for e in row for c in e.terms.values())
+    return d, [{k: int(c.numerator) * (d // int(c.denominator))
+                for k, c in e.terms.items()} for e in row]
+
 
 def bareiss_det_poly(M):
     """Exact determinant of a Poly2 matrix by Bareiss one-step elimination
@@ -221,11 +314,8 @@ def bareiss_det_poly(M):
         return Poly2.one()
     rows, scale, width, bound = [], 1, 1, 1
     for row in M:
-        d = math.lcm(1, *(int(c.denominator)
-                          for e in row for c in e.terms.values()))
+        d, cleared = int_row(row)
         scale *= d
-        cleared = [{k: int(c.numerator) * (d // int(c.denominator))
-                    for k, c in e.terms.items()} for e in row]
         width += max((b for e in cleared for _, b in e), default=0)
         bound *= max(1, sum(abs(c) for e in cleared for c in e.values()))
         rows.append(cleared)

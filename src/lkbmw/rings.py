@@ -265,12 +265,19 @@ _ZR = (_u_mul, _u_sub, functools.partial(_divexact, ring=_Z), _zr_content)
 # Q[l, r] on integer ladders: the ladder of a dict d is the list over deg_l
 # of the dense integer r-coefficient lists of den * d, for an integer den > 0
 
+def _den_lcm(coeffs):
+    """The lcm of the denominators of rational coefficients, taken one
+    two-argument math.lcm at a time."""
+    den = 1
+    for c in coeffs:
+        den = math.lcm(den, int(c.denominator))
+    return den
+
+
 def _ladder(d):
     """(L, den): den the lcm of the coefficient denominators of d, and L the
     ladder of den * d."""
-    den = 1
-    for c in d.values():
-        den = math.lcm(den, int(c.denominator))
+    den = _den_lcm(d.values())
     out = [[] for _ in range(_d_degl(d) + 1)]
     for (a, b), c in d.items():
         row = out[a]

@@ -7,7 +7,8 @@ computes the determinant exactly (over Q(l, r) and Q(r) fraction-free, after
 clearing each row by the lcm of its denominators; over a cyclotomic quotient
 field by elimination in the field), extracts the locus by dividing out each
 candidate l = +-r^k at which the numerator vanishes, computes kernels over
-Q(r) and over cyclotomic quotient fields, and carries a catalogue of the
+Q(r) (fraction-free, on the rows cleared to Z[r]) and over cyclotomic
+quotient fields (by elimination in the field), and carries a catalogue of the
 explicit spanning vectors with a membership checker.
 """
 
@@ -64,6 +65,15 @@ def det_T(n, spec=None, guard=6):
     return _det_cleared(M)
 
 
+def _clear_row(row):
+    """(cleared, lcm): the row of FieldElements times lcm, the lcm of its
+    entry denominators, as Poly2s."""
+    lcm = Poly2.one()
+    for e in row:
+        lcm = lcm.divexact(lcm.gcd(e.den)) * e.den
+    return [e.num * lcm.divexact(e.den) for e in row], lcm
+
+
 def _det_cleared(M):
     """Exact determinant over Q(l, r) or Q(r): clear each row by the lcm of
     its entry denominators, run the fraction-free elimination on the cleared
@@ -71,12 +81,23 @@ def _det_cleared(M):
     cleared = []
     den = Poly2.one()
     for row in M:
-        lcm = Poly2.one()
-        for e in row:
-            lcm = lcm.divexact(lcm.gcd(e.den)) * e.den
-        cleared.append([e.num * lcm.divexact(e.den) for e in row])
+        row, lcm = _clear_row(row)
+        cleared.append(row)
         den = den * lcm
     return FieldElement(linalg.bareiss_det_poly(cleared), den)
+
+
+def _zr_row(row):
+    """A row of T(n) over Q(r) cleared to Z[r], its entries as dense int
+    coefficient lists: by the lcm of its entry denominators, then, as in
+    bareiss_det_poly, by the lcm of the coefficient denominators left."""
+    out = []
+    for e in linalg.int_row(_clear_row(row)[0])[1]:
+        v = [0] * (1 + max((b for _, b in e), default=-1))
+        for (_, b), c in e.items():
+            v[b] = c
+        out.append(v)
+    return out
 
 
 @dataclass
@@ -205,7 +226,9 @@ class KernelReport:
 
 
 def kernel(n, spec):
-    """Basis of K(n) = Ker T(n), in reduced echelon form."""
+    """Basis of K(n) = Ker T(n), in reduced echelon form.  Over Q(r) the
+    elimination runs on the rows of T(n) cleared to Z[r]; over a quotient
+    field it runs on the field elements."""
     if n < 3:
         raise ValueError("n must be at least 3")
     if spec is None or spec.is_generic:
@@ -214,7 +237,10 @@ def kernel(n, spec):
             "specialize l first")
     ctx = spec.field()
     M = t_matrix(n, spec).entries
-    basis = linalg.kernel_basis(M, ctx)
+    if spec.is_quotient:
+        basis = linalg.kernel_basis(M, ctx)
+    else:
+        basis = linalg.kernel_basis_zr([_zr_row(row) for row in M])
     if basis:
         basis, _ = linalg.rref(basis, ctx)
     return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis))

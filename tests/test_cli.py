@@ -2,10 +2,13 @@
 
 import json
 import pathlib
+import platform
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from lkbmw import rings
 from lkbmw.cli import main
 
 FIXTURES = (pathlib.Path(__file__).resolve().parent.parent
@@ -129,6 +132,50 @@ def test_exit_code_size_guard(runner, monkeypatch):
     monkeypatch.setenv("LK_SIZE_GUARD", "4")
     result = runner.invoke(main, ["det", "--n", "5"])
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("n", ["13", "100"])
+@pytest.mark.parametrize("args", [
+    ["kernel", "--l", "r"], ["matrices"], ["sum-matrix"], ["verify"],
+    ["check-vectors", "--case", "l=r"],
+    ["rank-witness", "--l", "r", "--size", "1"],
+    ["det", "--l", "r^2"], ["locus"],
+])
+def test_exit_code_size_cap(runner, monkeypatch, args, n):
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    for module in ("lkbmw.cli", "lkbmw.spectral"):
+        monkeypatch.setattr(module + ".sum_matrix_direct", refuse)
+    monkeypatch.setattr("lkbmw.cli.build_matrices", refuse)
+    monkeypatch.setenv("LK_SIZE_GUARD", "200")
+    result = runner.invoke(main, args[:1] + ["--n", n] + args[1:])
+    assert result.exit_code == 4, result.output
+    assert "error: size-guard:" in result.output
+
+
+def test_malformed_size_guard_is_an_input_error(runner, monkeypatch):
+    monkeypatch.setenv("LK_SIZE_GUARD", "abc")
+    for args in (["det", "--n", "4"], ["locus", "--n", "3"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert "error: input: LK_SIZE_GUARD" in result.output
+
+
+class _Mpq:
+    """Stands in for gmpy2's mpq, so the test runs without gmpy2."""
+
+
+@pytest.mark.parametrize("backend", [None, _Mpq])
+def test_info_names_the_backend(runner, monkeypatch, backend):
+    if backend is not None:
+        monkeypatch.setattr(rings, "_Q", backend)
+    result = runner.invoke(main, ["info"])
+    assert result.exit_code == 0
+    expected = "Fraction" if rings._Q is Fraction else "gmpy2"
+    assert json.loads(result.output) == {
+        "command": "info", "backend": expected,
+        "python": platform.python_version()}
 
 
 def test_output_is_deterministic(runner):

@@ -1,13 +1,17 @@
-"""The packed-integer Bareiss determinant against a Leibniz expansion."""
+"""The packed-integer Bareiss determinant against a Leibniz expansion, and
+the Z[r] kernel against elimination over Q(r)."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from lkbmw.linalg import bareiss_det_poly
-from lkbmw.rings import Poly2
+from lkbmw.linalg import (bareiss_det_poly, kernel_basis, kernel_basis_zr,
+                          rref, rref_zr)
+from lkbmw.rings import FieldElement, GenericContext, Poly2
 
 L, R, ONE = Poly2.var_l(), Poly2.var_r(), Poly2.one()
 
@@ -95,3 +99,81 @@ def test_empty_and_scalar_matrices():
     assert bareiss_det_poly([]) == ONE
     p = Poly2({(3, 2): Fraction(-5, 3), (0, 1): Fraction(1, 2)})
     assert bareiss_det_poly([[p]]) == p
+
+
+# -- kernels over Z[r] --------------------------------------------------------
+
+def _trim(v):
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+_coeff = st.integers(-9, 9) | st.integers(-2 ** 70, 2 ** 70)
+_zr = st.lists(_coeff, max_size=4).map(_trim)
+
+
+def _zr_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _zr_add(a, b):
+    return _trim(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+@st.composite
+def _zr_matrices(draw):
+    """Matrices over Z[r] (dense int lists) with planted dependent rows
+    (Z[r]-combinations of two earlier rows), zero rows and zero columns."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    M = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["random", "combination", "zero"]))
+        if kind == "zero":
+            row = [[] for _ in range(ncols)]
+        elif kind == "combination" and i >= 2:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            u, w = draw(_zr), draw(_zr)
+            row = [_zr_add(_zr_mul(u, x), _zr_mul(w, y))
+                   for x, y in zip(M[a], M[b])]
+        else:
+            row = [draw(_zr) for _ in range(ncols)]
+        M.append([[] if j in zero_cols else e for j, e in enumerate(row)])
+    return M
+
+
+def _fe(v):
+    return FieldElement(Poly2({(0, i): Fraction(c) for i, c in enumerate(v)}))
+
+
+_r = sympy.Symbol("r")
+
+
+def _is_primitive(row):
+    """Whether the entries of a nonzero row have gcd 1 in Z[r], by sympy."""
+    g = sympy.Poly(0, _r)
+    for e in row:
+        g = g.gcd(sympy.Poly(list(reversed(e)) or [0], _r))
+    return g.degree() == 0 and abs(g.LC()) == 1
+
+
+@given(M=_zr_matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_over_zr_matches_field_elimination(M):
+    ctx = GenericContext()
+    A = [[_fe(e) for e in row] for row in M]
+    rows, pivots = rref_zr(M)
+    expected_rows, expected_pivots = rref(A, ctx)
+    assert pivots == expected_pivots
+    for row, p, want in zip(rows, pivots, expected_rows):
+        assert [_fe(e) / _fe(row[p]) for e in row] == want
+        assert _is_primitive(row)
+    assert kernel_basis_zr(M) == kernel_basis(A, ctx)

@@ -277,3 +277,41 @@ def test_lcm_fallback_matches_sympy(l_expr):
     printed = json.loads(result.output)["det"].replace("^", "**")
     assert sympy.cancel(sympy.sympify(printed, locals={"r": _SR})
                         - expected) == 0
+
+
+# -- kernels over Q(r) against the field-element oracle -----------------------
+
+def _oracle_kernel(n, spec):
+    """K(n) by elimination on FieldElements: kernel_basis, then rref."""
+    ctx = spec.field()
+    basis = linalg.kernel_basis(t_matrix(n, spec).entries, ctx)
+    return linalg.rref(basis, ctx)[0] if basis else []
+
+
+def _kernel_points(n):
+    return ["r", "-r^3", "1/r^%d" % (n - 3), "-1/r^%d" % (n - 3),
+            "1/r^%d" % (2 * n - 3), "r^2"]
+
+
+@pytest.mark.parametrize(
+    "n,l_expr",
+    [(n, l) for n in (3, 4, 5, 6) for l in _kernel_points(n)]
+    + [(n, l) for n in (4, 5)
+       for l in ("1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)")])
+def test_kernel_over_qr_matches_the_field_oracle(n, l_expr):
+    spec = Specialization.l_to(l_expr)
+    assert kernel(n, spec).basis == _oracle_kernel(n, spec)
+
+
+def test_kernel_matches_sympy_nullspace():
+    spec = Specialization.l_to("1/r^5")
+    field = sympy.QQ.frac_field(_SR)
+    rows = [[field.from_sympy(_sympy_poly(e.num) / _sympy_poly(e.den))
+             for e in row] for row in t_matrix(4, spec).entries]
+    null = DomainMatrix(rows, (6, 6), field).nullspace()
+    expected = null.rref()[0].to_Matrix()
+    basis = kernel(4, spec).basis
+    assert expected.shape == (len(basis), 6) == (1, 6)
+    for i, v in enumerate(basis):
+        for j, e in enumerate(v):
+            assert _same(expected[i, j], e)
