@@ -2,10 +2,10 @@
 
 Matrices are plain lists of lists of field elements (FieldElement or
 CycElement); every routine works for any element type supporting +, -, *, /,
-is_zero() and complexity().  Construction is sparse-friendly: products skip
-zero entries.  The exceptions take integer data: rref_zr and kernel_basis_zr
-a matrix over Z[r], bareiss_det_poly a matrix of Poly2 that int_row clears
-to integer coefficients row by row.
+is_zero() and complexity().  Products and elementwise operations do
+arithmetic only where an operand is nonzero.  The exceptions take integer
+data: rref_zr and kernel_basis_zr a matrix over Z[r], bareiss_det_poly a
+matrix of Poly2 that int_row clears to integer coefficients row by row.
 """
 
 from __future__ import annotations
@@ -27,41 +27,42 @@ def zeros(n, ctx):
 
 
 def mat_mul(A, B):
-    n, m = len(A), len(B[0])
-    inner = len(B)
-    zero = None
-    for row in A:
-        for e in row:
-            if zero is None:
-                zero = e - e
-            break
-        break
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a.is_zero():
+    """A B with arithmetic on nonzero pairs only: each row of B is listed
+    once as its nonzero (column, entry) pairs, products are summed per
+    output row, and an entry no product reaches keeps one shared zero."""
+    m = len(B[0]) if B else 0
+    if not (A and m):
+        return [[] for _ in A]
+    zero = A[0][0] - A[0][0]
+    rows = [[(j, b) for j, b in enumerate(Bk) if not b.is_zero()]
+            for Bk in B]
+    out = []
+    for Ai in A:
+        acc = {}
+        for a, Bk in zip(Ai, rows):
+            if not Bk or a.is_zero():
                 continue
-            Bk = B[k]
-            for j in range(m):
-                b = Bk[j]
-                if not b.is_zero():
-                    Oi[j] = Oi[j] + a * b
+            for j, b in Bk:
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        Oi = [zero] * m
+        for j, v in acc.items():
+            Oi[j] = v
+        out.append(Oi)
     return out
 
 
 def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[b if a.is_zero() else a if b.is_zero() else a + b
+             for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[-b if a.is_zero() else a if b.is_zero() else a - b
+             for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
+    return [[a if a.is_zero() else c * a for a in row] for row in A]
 
 
 def mat_eq(A, B):

@@ -288,28 +288,41 @@ def verify_relations(mats):
         lhs = mul(G[a], mul(G[a + 1], G[a]))
         rhs = mul(G[a + 1], mul(G[a], G[a + 1]))
         add("(2) braid g%d,g%d" % (a + 1, a + 2), eq(lhs, rhs))
+    # The relations that share a product are decided together, one a at a
+    # time, so each product is computed once and only a few matrices are
+    # alive at any moment; verdict[k][a] is the outcome of relation (k) at
+    # a, and the checks are then reported in their fixed order.
     l_over_m = l / m
+    verdict = {k: [None] * (n - 1) for k in (3, 5, 6, 8, 10, 11, 12, 13)}
     for a in range(n - 1):
         g2 = mul(G[a], G[a])
-        rhs = scale(linalg.mat_sub(
-            linalg.mat_add(g2, scale(G[a], m)), ident), l_over_m)
-        add("(3) e%d polynomial in g%d" % (a + 1, a + 1), eq(E[a], rhs))
+        verdict[3][a] = eq(E[a], scale(linalg.mat_sub(
+            linalg.mat_add(g2, scale(G[a], m)), ident), l_over_m))
+        verdict[8][a] = eq(g2, linalg.mat_add(
+            linalg.mat_sub(ident, scale(G[a], m)), scale(E[a], m * linv)))
+        for b, (k1, k2, k3) in ((a + 1, (5, 10, 12)), (a - 1, (6, 11, 13))):
+            if 0 <= b < n - 1:
+                ge, ee = mul(G[b], E[a]), mul(E[b], E[a])
+                verdict[k1][a] = eq(mul(E[a], ge), scale(E[a], l))
+                verdict[k2][a] = eq(mul(G[a], ge), ee)
+                verdict[k3][a] = eq(mul(G[a], ee), linalg.mat_add(
+                    ge, scale(linalg.mat_sub(E[a], ee), m)))
+
+    for a in range(n - 1):
+        add("(3) e%d polynomial in g%d" % (a + 1, a + 1), verdict[3][a])
     for a in range(n - 1):
         add("(4) g%de%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
             eq(mul(G[a], E[a]), scale(E[a], linv)))
     for a in range(n - 2):
         add("(5) e%dg%de%d=l e%d" % (a + 1, a + 2, a + 1, a + 1),
-            eq(mul(E[a], mul(G[a + 1], E[a])), scale(E[a], l)))
+            verdict[5][a])
     for a in range(1, n - 1):
-        add("(6) e%dg%de%d=l e%d" % (a + 1, a, a + 1, a + 1),
-            eq(mul(E[a], mul(G[a - 1], E[a])), scale(E[a], l)))
+        add("(6) e%dg%de%d=l e%d" % (a + 1, a, a + 1, a + 1), verdict[6][a])
     for a in range(n - 1):
         add("(7) e%dg%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
             eq(mul(E[a], G[a]), scale(E[a], linv)))
     for a in range(n - 1):
-        rhs = linalg.mat_add(
-            linalg.mat_sub(ident, scale(G[a], m)), scale(E[a], m * linv))
-        add("(8) g%d^2=1-mg+ml^-1 e" % (a + 1), eq(mul(G[a], G[a]), rhs))
+        add("(8) g%d^2=1-mg+ml^-1 e" % (a + 1), verdict[8][a])
     for a in range(n - 1):
         ok = eq(mul(G[a], Ginv[a]), ident) and eq(
             Ginv[a],
@@ -318,22 +331,14 @@ def verify_relations(mats):
         add("(9) inverse law g%d" % (a + 1), ok)
     for a in range(n - 2):
         add("(10) g%dg%de%d=e%de%d" % (a + 1, a + 2, a + 1, a + 2, a + 1),
-            eq(mul(G[a], mul(G[a + 1], E[a])), mul(E[a + 1], E[a])))
+            verdict[10][a])
     for a in range(1, n - 1):
         add("(11) g%dg%de%d=e%de%d" % (a + 1, a, a + 1, a, a + 1),
-            eq(mul(G[a], mul(G[a - 1], E[a])), mul(E[a - 1], E[a])))
+            verdict[11][a])
     for a in range(n - 2):
-        lhs = mul(G[a], mul(E[a + 1], E[a]))
-        rhs = linalg.mat_add(
-            mul(G[a + 1], E[a]),
-            scale(linalg.mat_sub(E[a], mul(E[a + 1], E[a])), m))
-        add("(12) mixed g%de%de%d" % (a + 1, a + 2, a + 1), eq(lhs, rhs))
+        add("(12) mixed g%de%de%d" % (a + 1, a + 2, a + 1), verdict[12][a])
     for a in range(1, n - 1):
-        lhs = mul(G[a], mul(E[a - 1], E[a]))
-        rhs = linalg.mat_add(
-            mul(G[a - 1], E[a]),
-            scale(linalg.mat_sub(E[a], mul(E[a - 1], E[a])), m))
-        add("(13) mixed g%de%de%d" % (a + 1, a, a + 1), eq(lhs, rhs))
+        add("(13) mixed g%de%de%d" % (a + 1, a, a + 1), verdict[13][a])
     for a in range(n - 1):
         add("idempotent e%d^2=x e%d" % (a + 1, a + 1),
             eq(mul(E[a], E[a]), scale(E[a], x)))

@@ -25,6 +25,7 @@ except ImportError:  # pragma: no cover
 
 _ZERO = _Q(0)
 _ONE = _Q(1)
+_ONE_TERMS = {(0, 0): _ONE}
 
 
 class ExactDivisionError(ArithmeticError):
@@ -346,7 +347,7 @@ class Poly2:
 
     @staticmethod
     def one():
-        return Poly2({(0, 0): _ONE})
+        return Poly2(_ONE_TERMS)
 
     @staticmethod
     def const(c):
@@ -369,7 +370,7 @@ class Poly2:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0, 0): _ONE}
+        return self.terms == _ONE_TERMS
 
     def degree_l(self):
         return _d_degl(self.terms)
@@ -531,9 +532,15 @@ class FieldElement:
         return len(self.num) + len(self.den)
 
     # -- arithmetic ----------------------------------------------------------
+    # Every element is reduced and normalised, so a zero or one operand gives
+    # the canonical result directly, without a product or a reduction.
     def __add__(self, other):
         if isinstance(other, int):
             other = FieldElement.from_int(other)
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         if self.den == other.den:
             return FieldElement(self.num + other.num, self.den)
         return FieldElement(self.num * other.den + other.num * self.den,
@@ -544,6 +551,10 @@ class FieldElement:
     def __sub__(self, other):
         if isinstance(other, int):
             other = FieldElement.from_int(other)
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return -other
         if self.den == other.den:
             return FieldElement(self.num - other.num, self.den)
         return FieldElement(self.num * other.den - other.num * self.den,
@@ -561,6 +572,10 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, int):
             other = FieldElement.from_int(other)
+        if self.num.is_zero() or other.is_one():
+            return self
+        if other.num.is_zero() or self.is_one():
+            return other
         return FieldElement(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -665,7 +680,7 @@ def _poly_subs_l(p, value):
             power = power * value
             cur += 1
         coeff = FieldElement(Poly2(buckets[dl]), _P_ONE, reduce=False)
-        out = out + (coeff * power if dl else coeff)
+        out = out + coeff * power
     return out
 
 

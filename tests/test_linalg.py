@@ -1,7 +1,10 @@
-"""The packed-integer Bareiss determinant against a Leibniz expansion, and
-the Z[r] kernel against elimination over Q(r)."""
+"""The packed-integer Bareiss determinant against a Leibniz expansion, the
+Z[r] kernel against elimination over Q(r), and the zero-aware dense
+operations against plain loops."""
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -10,8 +13,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from lkbmw.linalg import (bareiss_det_poly, kernel_basis, kernel_basis_zr,
-                          rref, rref_zr)
-from lkbmw.rings import FieldElement, GenericContext, Poly2
+                          mat_add, mat_mul, mat_scale, mat_sub, rref, rref_zr)
+from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, GenericContext, Poly2,
+                         QuotientField, cyclotomic)
 
 L, R, ONE = Poly2.var_l(), Poly2.var_r(), Poly2.one()
 
@@ -177,3 +181,123 @@ def test_kernel_over_zr_matches_field_elimination(M):
         assert [_fe(e) / _fe(row[p]) for e in row] == want
         assert _is_primitive(row)
     assert kernel_basis_zr(M) == kernel_basis(A, ctx)
+
+
+# -- zero-aware products and elementwise operations ---------------------------
+
+def _fe_add(a, b):
+    return FieldElement(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _fe_mul(a, b):
+    return FieldElement(a.num * b.num, a.den * b.den)
+
+
+def _fe_neg(a):
+    return FieldElement(-a.num, a.den)
+
+
+_PHI12 = QuotientField(cyclotomic(12))
+
+# per element type: (zero, one, add, mul, neg), where add and mul of
+# FieldElements take the general route (cross-multiply, then reduce) even
+# when an operand is zero or one
+_RINGS = {
+    "fe": (FE_ZERO, FE_ONE, _fe_add, _fe_mul, _fe_neg),
+    "cyc": (_PHI12.zero(), _PHI12.one(), operator.add, operator.mul,
+            operator.neg),
+}
+_DENS = [ONE, R, L, R + ONE, L * R - ONE, R * R + L.scale(2)]
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def _entry(draw, ring):
+    """Mostly zero, sometimes one, otherwise a small random element."""
+    zero, one, _, _, neg = _RINGS[ring]
+    kind = draw(st.sampled_from(["zero", "zero", "zero", "one", "random"]))
+    if kind == "zero":
+        return zero
+    if kind == "one":
+        return one if draw(st.booleans()) else neg(one)
+    if ring == "cyc":
+        coeffs = draw(st.lists(_small, min_size=1, max_size=4))
+        return _PHI12.element([Fraction(c, draw(st.integers(1, 3)))
+                               for c in coeffs])
+    terms = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                    _small), max_size=3))
+    num = Poly2({(a, b): Fraction(c) for a, b, c in terms if c})
+    return FieldElement(num, draw(st.sampled_from(_DENS)))
+
+
+@st.composite
+def _matrix(draw, ring, nrows, ncols):
+    if draw(st.integers(0, 4)) == 0:
+        return [[_RINGS[ring][0]] * ncols for _ in range(nrows)]
+    return [[draw(_entry(ring)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _plain_mul(A, B, ring):
+    zero, _, add, mul, _ = _RINGS[ring]
+    return [[functools.reduce(add, (mul(a, Bk[j]) for a, Bk in zip(Ai, B)),
+                              zero) for j in range(len(B[0]))] for Ai in A]
+
+
+def _assert_entrywise(got, want):
+    assert len(got) == len(want)
+    for rg, rw in zip(got, want):
+        assert len(rg) == len(rw)
+        for g, w in zip(rg, rw):
+            assert g == w
+            assert g.is_zero() == w.is_zero()
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(_RINGS)),
+       n=st.integers(0, 4), inner=st.integers(1, 4), m=st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_mat_mul_matches_plain_triple_loop(data, ring, n, inner, m):
+    _, _, _, _, neg = _RINGS[ring]
+    A = data.draw(_matrix(ring, n, inner))
+    B = data.draw(_matrix(ring, inner, m))
+    if n and inner >= 2 and data.draw(st.booleans()):
+        # plant a cancellation: row i of A is a e_k1 - a e_k2 and rows k1
+        # and k2 of B agree, so row i of A B is zero from nonzero products
+        i = data.draw(st.integers(0, n - 1))
+        k1, k2 = data.draw(st.permutations(range(inner)))[:2]
+        a = data.draw(_entry(ring).filter(lambda e: not e.is_zero()))
+        A[i] = [_RINGS[ring][0]] * inner
+        A[i][k1], A[i][k2] = a, neg(a)
+        B[k2] = list(B[k1])
+    _assert_entrywise(mat_mul(A, B), _plain_mul(A, B, ring))
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(_RINGS)),
+       n=st.integers(0, 4), m=st.integers(0, 4))
+@settings(max_examples=120, deadline=None)
+def test_elementwise_operations_match_plain_loops(data, ring, n, m):
+    _, _, add, mul, neg = _RINGS[ring]
+    A = data.draw(_matrix(ring, n, m))
+    B = data.draw(_matrix(ring, n, m))
+    c = data.draw(_entry(ring))
+    # plant cancellations: B_add = -A and B_sub = A at the chosen entries
+    cells = data.draw(st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                        st.integers(0, max(m - 1, 0)))))
+    B_add, B_sub = [list(row) for row in B], [list(row) for row in B]
+    for i, j in cells:
+        if i < n and j < m:
+            B_add[i][j], B_sub[i][j] = neg(A[i][j]), A[i][j]
+    _assert_entrywise(mat_add(A, B_add),
+                      [[add(a, b) for a, b in zip(ra, rb)]
+                       for ra, rb in zip(A, B_add)])
+    _assert_entrywise(mat_sub(A, B_sub),
+                      [[add(a, neg(b)) for a, b in zip(ra, rb)]
+                       for ra, rb in zip(A, B_sub)])
+    _assert_entrywise(mat_scale(A, c), [[mul(c, a) for a in row] for row in A])
+
+
+def test_mat_mul_of_empty_and_rectangular_shapes():
+    one, zero = FE_ONE, FE_ZERO
+    assert mat_mul([], [[one, zero]]) == []
+    assert mat_mul([[one], [zero]], [[one, one, zero]]) == [
+        [one, one, zero], [zero, zero, zero]]
+    assert mat_mul([[zero, zero]], [[one], [one]]) == [[zero]]

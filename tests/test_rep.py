@@ -1,11 +1,13 @@
 """Representation builders against the published matrix displays."""
 
+import dataclasses
+
 import pytest
 
 from lkbmw import linalg
 from lkbmw.rep import (build_matrices, build_matrices_recursive, nu_action,
                        nu_e_action, nu_inv_action, verify_relations)
-from lkbmw.rings import FieldElement, Specialization, specialize
+from lkbmw.rings import FE_ZERO, FieldElement, Specialization, specialize
 from lkbmw.roots import RootIndex, all_roots
 
 GEN = Specialization.generic().field()
@@ -221,6 +223,43 @@ def test_recursive_corner_entry():
 def test_relations_generic(n):
     report = verify_relations(build_matrices(n))
     assert report.all_pass, report.failures
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_relations_generic_large(n):
+    report = verify_relations(build_matrices(n))
+    assert report.all_pass, report.failures
+
+
+# A corrupted matrix, one entry at a time: the relations that must then fail.
+# Ginv_1 enters only the inverse law; E_2 is compared with the polynomial in
+# G_2 and enters the quadratic relation of G_2; G_1 meets its inverse and E_1.
+_MUST_FAIL = {
+    ("G", 0): {"(3) e1 polynomial in g1", "(9) inverse law g1"},
+    ("E", 1): {"(3) e2 polynomial in g2", "(8) g2^2=1-mg+ml^-1 e"},
+    ("Ginv", 0): {"(9) inverse law g1"},
+}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("family,index", sorted(_MUST_FAIL))
+@pytest.mark.parametrize("kind", ["zero_to_nonzero", "nonzero_to_zero"])
+@pytest.mark.parametrize("pick", ["first", "last"])
+def test_corrupted_entry_fails_its_relations(n, family, index, kind, pick):
+    mats = build_matrices(n)
+    M = [list(row) for row in getattr(mats, family)[index]]
+    cells = [(i, j) for i, row in enumerate(M) for j, e in enumerate(row)
+             if e.is_zero() == (kind == "zero_to_nonzero")]
+    i, j = cells[0 if pick == "first" else -1]
+    M[i][j] = R if M[i][j].is_zero() else FE_ZERO
+    family_mats = list(getattr(mats, family))
+    family_mats[index] = M
+    report = verify_relations(dataclasses.replace(mats,
+                                                  **{family: family_mats}))
+    assert not report.all_pass
+    assert _MUST_FAIL[family, index] <= set(report.failures)
+    if family == "Ginv":
+        assert report.failures == ["(9) inverse law g1"]
 
 
 def test_relations_specialized():

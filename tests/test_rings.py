@@ -147,6 +147,32 @@ def test_field_axioms_on_random_elements(a):
         assert a * a.inverse() == FE_ONE
 
 
+def _general_route(num, den):
+    """The reduced element num/den, as arithmetic without fast paths
+    builds it."""
+    return FieldElement(num, den, reduce=True)
+
+
+@given(x=_elt)
+@settings(max_examples=80, deadline=None)
+def test_zero_and_one_operands_match_the_general_route(x):
+    z, o = FE_ZERO, FE_ONE
+    cases = [
+        (x + z, _general_route(x.num * z.den + z.num * x.den, x.den * z.den)),
+        (z + x, _general_route(z.num * x.den + x.num * z.den, z.den * x.den)),
+        (x - z, _general_route(x.num * z.den - z.num * x.den, x.den * z.den)),
+        (z - x, _general_route(z.num * x.den - x.num * z.den, z.den * x.den)),
+        (x * o, _general_route(x.num * o.num, x.den * o.den)),
+        (o * x, _general_route(o.num * x.num, o.den * x.den)),
+        (x * z, _general_route(x.num * z.num, x.den * z.den)),
+        (z * x, _general_route(z.num * x.num, z.den * x.den)),
+    ]
+    for got, want in cases:
+        assert got.num == want.num and got.den == want.den
+        assert str(got) == str(want)
+        assert hash(got) == hash(want)
+
+
 # -- gcd in Q[l, r] against sympy ---------------------------------------------
 
 _PL, _PR, _P1 = Poly2.var_l(), Poly2.var_r(), Poly2.one()
