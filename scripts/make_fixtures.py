@@ -25,6 +25,9 @@ JOBS = {
     "sum-matrix-n4.json": ["sum-matrix", "--n", "4"],
     "sum-matrix-n5.json": ["sum-matrix", "--n", "5"],
     "kernel-n3-invr3.json": ["kernel", "--n", "3", "--l", "1/r^3"],
+    "kernel-n5-negr3.json": ["kernel", "--n", "5", "--l", "-r^3"],
+    "kernel-n5-negr3-cyc20.json": ["kernel", "--n", "5", "--l", "-r^3",
+                                   "--modulus", "cyclotomic:20"],
     "verify-n3.json": ["verify", "--n", "3"],
     "specht-n7.json": ["specht", "--n", "7", "--gap-check"],
     "specht-n8.json": ["specht", "--n", "8", "--gap-check"],

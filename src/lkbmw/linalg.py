@@ -21,11 +21,6 @@ def identity(n, ctx):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zeros(n, ctx):
-    zero = ctx.zero()
-    return [[zero] * n for _ in range(n)]
-
-
 def mat_mul(A, B):
     """A B with arithmetic on nonzero pairs only: each row of B is listed
     once as its nonzero (column, entry) pairs, products are summed per
@@ -176,20 +171,30 @@ def rref(M, ctx):
 def kernel_basis(M, ctx):
     """A basis of the right kernel, rows in reduced echelon form: scanning
     each basis vector, its first nonzero entry is 1 and sits in a column
-    where every other basis vector vanishes."""
-    R, pivots = rref(M, ctx)
-    ncols = len(M[0]) if M else 0
+    where every other basis vector vanishes (see _echelon_kernel)."""
+    R, pivots = rref([row[::-1] for row in M], ctx)
+    return _echelon_kernel(R, pivots, len(M[0]) if M else 0,
+                           ctx.zero(), ctx.one(), lambda row, p, f: -row[f])
+
+
+def _echelon_kernel(R, pivots, ncols, zero, one, entry):
+    """The kernel of M in reduced echelon form, from a Gauss-Jordan form
+    (R, pivots) of M with its columns reversed; entry(row, p, f) is the
+    coordinate at pivot column p of the vector of free column f.  That
+    vector is 1 at f and nonzero elsewhere only at pivot columns before f,
+    so read forwards it leads with 1 at f, where the other vectors are 0.
+    Free columns taken from last to first order the vectors by lead."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    one, zero = ctx.one(), ctx.zero()
     basis = []
-    for f in free_cols:
+    for f in reversed(range(ncols)):
+        if f in pivot_set:
+            continue
         v = [zero] * ncols
         v[f] = one
         for row, p in zip(R, pivots):
-            if not row[f].is_zero():
-                v[p] = -row[f]
-        basis.append(v)
+            if row[f]:
+                v[p] = entry(row, p, f)
+        basis.append(v[::-1])
     return basis
 
 
@@ -241,21 +246,11 @@ def rref_zr(M):
 
 def kernel_basis_zr(M):
     """kernel_basis over Q(r) of a matrix over Z[r] (as for rref_zr), with
-    FieldElement entries; the pivot entries become v[p] = -row[f] / row[p]."""
-    R, pivots = rref_zr(M)
-    ncols = len(M[0]) if M else 0
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [FE_ZERO] * ncols
-        v[f] = FE_ONE
-        for row, p in zip(R, pivots):
-            if row[f]:
-                v[p] = -FieldElement(_zr_poly(row[f]), _zr_poly(row[p]))
-        basis.append(v)
-    return basis
+    FieldElement entries; the pivot entries are -row[f] / row[p]."""
+    R, pivots = rref_zr([row[::-1] for row in M])
+    return _echelon_kernel(
+        R, pivots, len(M[0]) if M else 0, FE_ZERO, FE_ONE,
+        lambda row, p, f: -FieldElement(_zr_poly(row[f]), _zr_poly(row[p])))
 
 
 def _zdiv(a, g):

@@ -770,7 +770,7 @@ class QuotientField:
     def element(self, dense):
         """The class of a polynomial given by its coefficients (integers or
         rationals, constant term first)."""
-        den = math.lcm(1, *(int(c.denominator) for c in dense))
+        den = _den_lcm(dense)
         num = [int(c.numerator) * (den // int(c.denominator)) for c in dense]
         return _cyc(self, self._reduce(num), den)
 

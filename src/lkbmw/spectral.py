@@ -6,10 +6,11 @@ is the intersection of the kernels of all the X_ij operators.  This module
 computes the determinant exactly (over Q(l, r) and Q(r) fraction-free, after
 clearing each row by the lcm of its denominators; over a cyclotomic quotient
 field by elimination in the field), extracts the locus by dividing out each
-candidate l = +-r^k at which the numerator vanishes, computes kernels over
-Q(r) (fraction-free, on the rows cleared to Z[r]) and over cyclotomic
-quotient fields (by elimination in the field), and carries a catalogue of the
-explicit spanning vectors with a membership checker.
+candidate l = +-r^k at which the numerator vanishes, computes each kernel
+in reduced echelon form by one elimination of T(n) with its columns reversed
+(over Q(r) fraction-free, on the rows cleared to Z[r]; over a cyclotomic
+quotient field in the field), and carries a catalogue of the explicit
+spanning vectors with a membership checker.
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ class LocusReport:
     scalar: FieldElement     # r-only
     det: FieldElement
 
-    def multiplicity_of(self, eps, k):
-        for f in self.factors:
-            if f.eps == eps and f.k == k:
-                return f.multiplicity
-        return 0
-
     def reconstructs(self):
         """The defining identity: product of factors times residual times
         scalar over l^power equals det T(n) exactly.  Checked by
@@ -207,8 +202,7 @@ class KernelReport:
 
     def contains(self, vector):
         """Exact membership: T(n) v = 0 characterises K(n)."""
-        T = t_matrix(self.n, self.spec).entries
-        return linalg.is_zero_vector(linalg.mat_vec(T, vector))
+        return _annihilates(self.n, self.spec, vector)
 
     def named_verdicts(self):
         """Membership verdicts for every catalogued vector that lives at
@@ -221,12 +215,18 @@ class KernelReport:
                 continue
             for v in vectors:
                 if v.spec == self.spec:
-                    out[v.name] = self.contains(v.vector())
+                    out[v.name] = check_membership(v)
         return out
 
 
+def _annihilates(n, spec, vector):
+    T = t_matrix(n, spec).entries
+    return linalg.is_zero_vector(linalg.mat_vec(T, vector))
+
+
 def kernel(n, spec):
-    """Basis of K(n) = Ker T(n), in reduced echelon form.  Over Q(r) the
+    """Basis of K(n) = Ker T(n), in reduced echelon form, from one
+    elimination of T(n) with its columns reversed.  Over Q(r) the
     elimination runs on the rows of T(n) cleared to Z[r]; over a quotient
     field it runs on the field elements."""
     if n < 3:
@@ -235,14 +235,11 @@ def kernel(n, spec):
         raise ValueError(
             "kernel over the generic bivariate field is not supported; "
             "specialize l first")
-    ctx = spec.field()
     M = t_matrix(n, spec).entries
     if spec.is_quotient:
-        basis = linalg.kernel_basis(M, ctx)
+        basis = linalg.kernel_basis(M, spec.field())
     else:
         basis = linalg.kernel_basis_zr([_zr_row(row) for row in M])
-    if basis:
-        basis, _ = linalg.rref(basis, ctx)
     return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis))
 
 
@@ -268,8 +265,7 @@ class NamedVector:
 
 def check_membership(v):
     """Whether T(n) annihilates the vector at its own specialization."""
-    T = t_matrix(v.n, v.spec).entries
-    return linalg.is_zero_vector(linalg.mat_vec(T, v.vector()))
+    return _annihilates(v.n, v.spec, v.vector())
 
 
 _R = FieldElement.r()

@@ -197,6 +197,9 @@ GOLDEN_JOBS = [
     ("verify-n3.json", ["verify", "--n", "3"]),
     ("specht-n7.json", ["specht", "--n", "7", "--gap-check"]),
     ("specht-n8.json", ["specht", "--n", "8", "--gap-check"]),
+    ("kernel-n5-negr3.json", ["kernel", "--n", "5", "--l", "-r^3"]),
+    ("kernel-n5-negr3-cyc20.json", ["kernel", "--n", "5", "--l", "-r^3",
+                                    "--modulus", "cyclotomic:20"]),
 ]
 
 

@@ -1,6 +1,6 @@
 """The packed-integer Bareiss determinant against a Leibniz expansion, the
-Z[r] kernel against elimination over Q(r), and the zero-aware dense
-operations against plain loops."""
+Z[r] kernel against elimination over Q(r), the kernels' reduced echelon
+form, and the zero-aware dense operations against plain loops."""
 
 import functools
 import itertools
@@ -12,8 +12,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from lkbmw.linalg import (bareiss_det_poly, kernel_basis, kernel_basis_zr,
-                          mat_add, mat_mul, mat_scale, mat_sub, rref, rref_zr)
+from lkbmw.linalg import (bareiss_det_poly, is_zero_vector, kernel_basis,
+                          kernel_basis_zr, mat_add, mat_mul, mat_scale, mat_sub,
+                          mat_vec, rank, rref, rref_zr)
 from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, GenericContext, Poly2,
                          QuotientField, cyclotomic)
 
@@ -301,3 +302,51 @@ def test_mat_mul_of_empty_and_rectangular_shapes():
     assert mat_mul([[one], [zero]], [[one, one, zero]]) == [
         [one, one, zero], [zero, zero, zero]]
     assert mat_mul([[zero, zero]], [[one], [one]]) == [[zero]]
+
+
+# -- kernels in reduced echelon form ------------------------------------------
+
+@st.composite
+def _cyc_matrices(draw):
+    """Matrices over Q[r]/Phi_12 with planted dependent rows (combinations
+    of two earlier rows), zero rows and zero columns."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    zero = _PHI12.zero()
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    M = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["random", "combination", "zero"]))
+        if kind == "zero":
+            row = [zero] * ncols
+        elif kind == "combination" and i >= 2:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            u, w = draw(_entry("cyc")), draw(_entry("cyc"))
+            row = [u * x + w * y for x, y in zip(M[a], M[b])]
+        else:
+            row = [draw(_entry("cyc")) for _ in range(ncols)]
+        M.append([zero if j in zero_cols else e for j, e in enumerate(row)])
+    return M
+
+
+def _assert_echelon_kernel(M, basis, ctx):
+    """basis is the reduced echelon form of the right kernel of M."""
+    assert rref(basis, ctx)[0] == basis
+    for i, v in enumerate(basis):
+        lead = next(j for j, e in enumerate(v) if not e.is_zero())
+        assert v[lead] == ctx.one()
+        assert all(w[lead].is_zero() for k, w in enumerate(basis) if k != i)
+        assert is_zero_vector(mat_vec(M, v))
+    assert len(basis) == len(M[0]) - rank(M, ctx)
+
+
+@given(M=_zr_matrices())
+@settings(max_examples=100, deadline=None)
+def test_kernel_over_zr_is_in_reduced_echelon_form(M):
+    _assert_echelon_kernel([[_fe(e) for e in row] for row in M],
+                           kernel_basis_zr(M), GenericContext())
+
+
+@given(M=_cyc_matrices())
+@settings(max_examples=100, deadline=None)
+def test_cyclotomic_kernel_is_in_reduced_echelon_form(M):
+    _assert_echelon_kernel(M, kernel_basis(M, _PHI12), _PHI12)

@@ -282,9 +282,21 @@ def test_lcm_fallback_matches_sympy(l_expr):
 # -- kernels over Q(r) against the field-element oracle -----------------------
 
 def _oracle_kernel(n, spec):
-    """K(n) by elimination on FieldElements: kernel_basis, then rref."""
+    """K(n) by two eliminations on field elements: rref of T(n), a vector
+    per free column, then rref of those vectors."""
     ctx = spec.field()
-    basis = linalg.kernel_basis(t_matrix(n, spec).entries, ctx)
+    M = t_matrix(n, spec).entries
+    rows, pivots = linalg.rref(M, ctx)
+    basis = []
+    for f in range(len(M[0])):
+        if f in pivots:
+            continue
+        v = [ctx.zero()] * len(M[0])
+        v[f] = ctx.one()
+        for row, p in zip(rows, pivots):
+            if not row[f].is_zero():
+                v[p] = -row[f]
+        basis.append(v)
     return linalg.rref(basis, ctx)[0] if basis else []
 
 
@@ -300,6 +312,13 @@ def _kernel_points(n):
        for l in ("1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)")])
 def test_kernel_over_qr_matches_the_field_oracle(n, l_expr):
     spec = Specialization.l_to(l_expr)
+    assert kernel(n, spec).basis == _oracle_kernel(n, spec)
+
+
+@pytest.mark.parametrize(
+    "n,l_expr", [(n, l) for n in (4, 5, 6) for l in _kernel_points(n)])
+def test_kernel_over_cyclotomic_fields_matches_the_field_oracle(n, l_expr):
+    spec = Specialization.l_to_mod(l_expr, 4 * n)
     assert kernel(n, spec).basis == _oracle_kernel(n, spec)
 
 
