@@ -274,8 +274,8 @@ def check_vectors(n, case, output, golden):
 @click.option("--cols", default=None, help="comma-separated 1-based pool")
 @_common
 def rank_witness(n, l_expr, modulus, size, rows, cols, output, golden):
-    """First invertible size x size submatrix of T(n), scanning columns
-    outermost in lexicographic order."""
+    """First invertible size x size submatrix of T(n), in lexicographic
+    order with the columns outermost."""
     _cap(n)
     spec = _parse_spec(l_expr, modulus)
     try:

@@ -9,7 +9,7 @@ scheme that extends the size-(n-1) matrices by n-1 rows and columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 from . import linalg
@@ -17,7 +17,7 @@ from .rings import Specialization
 from .roots import all_roots, inner2, num_roots, shift, simple_root
 
 
-def nu_action(n, i, beta, ctx=None):
+def nu_action(n, i, beta, ctx):
     """Image of x_beta under nu_i, as a sparse map RootIndex -> coefficient.
 
     The six cases, split on 2(beta|alpha_i) and on the position of beta
@@ -29,8 +29,6 @@ def nu_action(n, i, beta, ctx=None):
       (e) -1, beta > a   -> x_{beta+a} + m r^{ht-1} x_a - m x_beta
       (f) -1, beta < a   -> x_{beta+a}
     """
-    if ctx is None:
-        ctx = Specialization.generic().field()
     ip = inner2(beta, i)
     alpha = simple_root(i, beta.n)
     if ip == 0:
@@ -50,10 +48,8 @@ def nu_action(n, i, beta, ctx=None):
     return {up: ctx.one(), alpha: m * ctx.r_pow(beta.height - 1), beta: -m}
 
 
-def nu_e_action(n, i, beta, ctx=None):
+def nu_e_action(n, i, beta, ctx):
     """Image of x_beta under nu(e_i): always a multiple of x_{alpha_i}."""
-    if ctx is None:
-        ctx = Specialization.generic().field()
     ip = inner2(beta, i)
     alpha = simple_root(i, beta.n)
     if ip == 0:
@@ -70,10 +66,8 @@ def nu_e_action(n, i, beta, ctx=None):
     return {alpha: ctx.r_pow(-(beta.height - 1))}
 
 
-def nu_inv_action(n, i, beta, ctx=None):
+def nu_inv_action(n, i, beta, ctx):
     """Image of x_beta under nu_i^{-1}."""
-    if ctx is None:
-        ctx = Specialization.generic().field()
     ip = inner2(beta, i)
     alpha = simple_root(i, beta.n)
     if ip == 0:
@@ -102,7 +96,6 @@ class LKMatrices:
     G: list
     E: list
     Ginv: list
-    ctx: object = dc_field(default=None, repr=False)
 
     @property
     def size(self):
@@ -147,7 +140,7 @@ def build_matrices(n, spec=None):
         G.append(_columns_to_matrix(n, gcols, ctx))
         E.append(_columns_to_matrix(n, ecols, ctx))
         Ginv.append(_columns_to_matrix(n, icols, ctx))
-    return LKMatrices(n=n, spec=spec, G=G, E=E, Ginv=Ginv, ctx=ctx)
+    return LKMatrices(n=n, spec=spec, G=G, E=E, Ginv=Ginv)
 
 
 # -- recursive block construction -------------------------------------------
@@ -238,7 +231,7 @@ def build_matrices_recursive(n, spec=None):
         G.append(g)
         E.append(e)
         Ginv.append(ginv)
-    return LKMatrices(n=n, spec=spec, G=G, E=E, Ginv=Ginv, ctx=ctx)
+    return LKMatrices(n=n, spec=spec, G=G, E=E, Ginv=Ginv)
 
 
 # -- relation verification ---------------------------------------------------
@@ -264,7 +257,7 @@ def verify_relations(mats):
     mixed relations, the inverse law, the idempotent relation e_i^2 = x e_i
     and the vanishing of e_i e_j for distant nodes."""
     n = mats.n
-    ctx = mats.ctx if mats.ctx is not None else mats.spec.field()
+    ctx = mats.spec.field()
     G, E, Ginv = mats.G, mats.E, mats.Ginv
     size = mats.size
     ident = linalg.identity(size, ctx)

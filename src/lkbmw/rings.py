@@ -711,6 +711,8 @@ def cyclotomic(m):
     exact division of r^m - 1 by the product of the Phi_d for proper d | m."""
     if m < 1:
         raise ValueError("cyclotomic index must be positive")
+    if m > MAX_CYCLOTOMIC_INDEX:
+        raise ValueError("cyclotomic index above %d" % MAX_CYCLOTOMIC_INDEX)
     if m in _CYCLO_CACHE:
         return _CYCLO_CACHE[m]
     num = Poly2({(0, m): _ONE, (0, 0): -_ONE})
@@ -926,178 +928,34 @@ class CycElement:
 # specializations and the coefficient-field contract
 # ---------------------------------------------------------------------------
 
-class Specialization:
-    """A choice of target field: generic Q(l, r), or l -> f(r) in Q(r),
-    optionally followed by reduction modulo a cyclotomic polynomial."""
+class FieldContext:
+    """The element factory of a target field: zero, one, the integers, the
+    powers of r, l and 1/l, m = 1/r - r and x = 1 - (l - 1/l)/m.
 
-    __slots__ = ("l_value", "modulus", "_field", "_ctx")
+    r^{+-1} and m are computed here; the other powers of r, 1/l and x on
+    first use, and then kept, so building T(n) computes each constant once.
+    m is 0 where r^2 = 1, so x, which divides by m, must stay lazy.
+    """
 
-    def __init__(self, l_value=None, modulus=None):
-        if modulus is not None and l_value is None:
-            raise ValueError("a quotient specialization must also fix l")
-        self.l_value = l_value
-        self.modulus = modulus
-        self._ctx = None
-        if modulus is None:
-            self._field = None
-        else:
-            self._field = QuotientField(modulus)
-            # the denominator of l_value must stay invertible in the quotient
-            self._field.embed(l_value)
+    __slots__ = ("from_int", "_zero", "_one", "_l", "_l_inv", "_m", "_x",
+                 "_r_pows")
 
-    @staticmethod
-    def generic():
-        return Specialization()
-
-    @staticmethod
-    def l_to(f):
-        if isinstance(f, str):
-            f = parse_r_expression(f)
-        if f.has_l():
-            raise ValueError("the value of l must be an expression in r only")
-        if f.is_zero():
-            raise ValueError("l must specialize to a nonzero value")
-        return Specialization(l_value=f)
-
-    @staticmethod
-    def l_to_mod(f, modulus):
-        if isinstance(f, str):
-            f = parse_r_expression(f)
-        if isinstance(modulus, int):
-            modulus = cyclotomic(modulus)
-        if f.has_l():
-            raise ValueError("the value of l must be an expression in r only")
-        return Specialization(l_value=f, modulus=modulus)
-
-    @property
-    def is_generic(self):
-        return self.l_value is None
-
-    @property
-    def is_quotient(self):
-        return self.modulus is not None
-
-    def field(self):
-        """The element factory of the target field, built once."""
-        if self._ctx is None:
-            if self.is_quotient:
-                self._ctx = SpecializedQuotientContext(self)
-            elif self.is_generic:
-                self._ctx = GenericContext()
-            else:
-                self._ctx = RationalFunctionContext(self.l_value)
-        return self._ctx
-
-    def __eq__(self, other):
-        return (isinstance(other, Specialization)
-                and self.l_value == other.l_value
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.l_value, self.modulus))
-
-    def __str__(self):
-        if self.is_generic:
-            return "generic"
-        if self.is_quotient:
-            return "l=%s mod %s" % (self.l_value, self.modulus)
-        return "l=%s" % self.l_value
-
-    def __repr__(self):
-        return "Specialization(%s)" % self
-
-
-def specialize(a, s):
-    """Apply a specialization entry-wise to a FieldElement over Q(l, r)."""
-    if s.is_generic:
-        return a
-    b = a.subs_l(s.l_value)
-    if not s.is_quotient:
-        return b
-    return s._field.embed(b)
-
-
-class GenericContext:
-    """Element factory for the generic field Q(l, r)."""
-
-    is_quotient = False
-
-    def zero(self):
-        return FE_ZERO
-
-    def one(self):
-        return FE_ONE
-
-    def from_int(self, k):
-        return FieldElement.from_int(k)
-
-    def r_pow(self, k):
-        return FieldElement.r_pow(k)
-
-    def l(self):
-        return FieldElement.l()
-
-    def l_inv(self):
-        return FieldElement.l_pow(-1)
-
-    def m(self):
-        return fe_m()
-
-    def x(self):
-        return fe_x_of(self.l(), self.m())
-
-    def __eq__(self, other):
-        return isinstance(other, GenericContext)
-
-    def __hash__(self):
-        return hash("generic-ctx")
-
-
-class RationalFunctionContext(GenericContext):
-    """Element factory for Q(r) with l fixed to a rational function of r."""
-
-    def __init__(self, l_value):
-        self._l = l_value
-
-    def l(self):
-        return self._l
-
-    def l_inv(self):
-        return self._l.inverse()
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionContext) and self._l == other._l
-
-    def __hash__(self):
-        return hash(("rfunc-ctx", self._l))
-
-
-class SpecializedQuotientContext:
-    """Element factory for Q[r]/(Phi) with l fixed.  The powers of r, l^-1
-    and x are computed on first use and kept, so building T(n) inverts in
-    the quotient field a handful of times rather than once per entry."""
-
-    is_quotient = True
-
-    def __init__(self, spec):
-        self._spec = spec
-        self._fld = spec._field
-        self._l = self._fld.embed(spec.l_value)
-        r = self._fld.element([0, 1])
+    def __init__(self, from_int, r, l):
+        self.from_int = from_int
+        self._zero = from_int(0)
+        self._one = from_int(1)
+        self._l = l
         r_inv = r.inverse()
-        self._r_pows = {0: self._fld.one(), 1: r, -1: r_inv}
+        self._r_pows = {0: self._one, 1: r, -1: r_inv}
         self._m = r_inv - r
         self._l_inv = None
         self._x = None
 
     def zero(self):
-        return self._fld.zero()
+        return self._zero
 
     def one(self):
-        return self._fld.one()
-
-    def from_int(self, k):
-        return self._fld.from_int(k)
+        return self._one
 
     def r_pow(self, k):
         p = self._r_pows.get(k)
@@ -1119,15 +977,98 @@ class SpecializedQuotientContext:
 
     def x(self):
         if self._x is None:
-            self._x = self.one() - (self._l - self.l_inv()) / self._m
+            self._x = self._one - (self._l - self.l_inv()) / self._m
         return self._x
 
+
+class Specialization:
+    """A choice of target field: generic Q(l, r), or l -> f(r) in Q(r),
+    optionally followed by reduction modulo a cyclotomic polynomial."""
+
+    __slots__ = ("l_value", "modulus", "_field", "_ctx")
+
+    def __init__(self, l_value=None, modulus=None):
+        if modulus is not None and l_value is None:
+            raise ValueError("a quotient specialization must also fix l")
+        self.l_value = l_value
+        self.modulus = modulus
+        self._field = None
+        if l_value is not None and l_value.has_l():
+            raise ValueError("the value of l must be an expression in r only")
+        if modulus is None:
+            l = FieldElement.l() if l_value is None else l_value
+            self._ctx = FieldContext(FieldElement.from_int,
+                                     FieldElement.r(), l)
+        else:
+            fld = self._field = QuotientField(modulus)
+            # embed raises PoleError when the denominator of l_value is not
+            # invertible in the quotient
+            self._ctx = FieldContext(fld.from_int, fld.element([0, 1]),
+                                     fld.embed(l_value))
+        if self._ctx.l().is_zero():
+            raise ValueError("l must specialize to a nonzero value")
+
+    @staticmethod
+    def generic():
+        """The generic specialization, one instance shared by every caller."""
+        return _GENERIC
+
+    @staticmethod
+    def l_to(f):
+        if isinstance(f, str):
+            f = parse_r_expression(f)
+        return Specialization(l_value=f)
+
+    @staticmethod
+    def l_to_mod(f, modulus):
+        if isinstance(f, str):
+            f = parse_r_expression(f)
+        if isinstance(modulus, int):
+            modulus = cyclotomic(modulus)
+        return Specialization(l_value=f, modulus=modulus)
+
+    @property
+    def is_generic(self):
+        return self.l_value is None
+
+    @property
+    def is_quotient(self):
+        return self.modulus is not None
+
+    def field(self):
+        """The element factory of the target field, built once."""
+        return self._ctx
+
     def __eq__(self, other):
-        return (isinstance(other, SpecializedQuotientContext)
-                and self._spec == other._spec)
+        return (isinstance(other, Specialization)
+                and self.l_value == other.l_value
+                and self.modulus == other.modulus)
 
     def __hash__(self):
-        return hash(("quot-ctx", self._spec))
+        return hash((self.l_value, self.modulus))
+
+    def __str__(self):
+        if self.is_generic:
+            return "generic"
+        if self.is_quotient:
+            return "l=%s mod %s" % (self.l_value, self.modulus)
+        return "l=%s" % self.l_value
+
+    def __repr__(self):
+        return "Specialization(%s)" % self
+
+
+_GENERIC = Specialization()
+
+
+def specialize(a, s):
+    """Apply a specialization entry-wise to a FieldElement over Q(l, r)."""
+    if s.is_generic:
+        return a
+    b = a.subs_l(s.l_value)
+    if not s.is_quotient:
+        return b
+    return s._field.embed(b)
 
 
 def is_semisimple_point(s, n):
@@ -1162,6 +1103,13 @@ class ExpressionError(ValueError):
 # denominator, that parse_r_expression accepts; far larger values only make
 # the kernels run for hours
 MAX_R_DEGREE = 64
+
+# the largest M of a modulus Phi_M, whose quotient field has degree phi(M);
+# at n = 12 the slowest kernel measured within it, at l = 1/r^21 modulo
+# Phi_59 or Phi_61, takes 12.4 s and its det 5.2 s (2 cores, Python 3.11,
+# Fraction backend), while one kernel takes 15 s modulo Phi_97, and one at
+# n = 8 over 120 s modulo Phi_997
+MAX_CYCLOTOMIC_INDEX = 64
 
 # the deepest nesting of parentheses and unary signs that parse_r_expression
 # accepts; it bounds the parser's recursion well inside Python's stack limit

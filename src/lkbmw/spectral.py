@@ -16,7 +16,6 @@ spanning vectors with a membership checker.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -554,7 +553,12 @@ def submatrix_det(n, spec, rows, cols):
 
 def rank_witness(n, spec, size, row_pool=None, col_pool=None):
     """First (in lexicographic order, columns outermost) invertible size x
-    size submatrix of T(n), or None if the pools hold none."""
+    size submatrix of T(n), or None if the pools hold none.
+
+    The pivot columns of an elimination, in order, are the lexicographically
+    first maximal independent set of columns (a greedy basis of a matroid,
+    Gale), so the first `size` pivot columns of T(n) on the pools are the
+    first column set, and the pivot rows on those columns the row set."""
     N = num_roots(n)
     if row_pool is None:
         row_pool = list(range(1, N + 1))
@@ -567,13 +571,21 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
     if size > len(row_pool) or size > len(col_pool):
         raise ValueError("size exceeds the index pools")
     M = t_matrix(n, spec).entries
-    ctx = spec.field()
-    for cols in itertools.combinations(sorted(col_pool), size):
-        for rows in itertools.combinations(sorted(row_pool), size):
-            d = linalg.det(linalg.submatrix(M, rows, cols), ctx)
-            if not d.is_zero():
-                return list(rows), list(cols)
-    return None
+    rows, cols = sorted(row_pool), sorted(col_pool)
+    pivots = _pivot_columns(spec, linalg.submatrix(M, rows, cols))
+    if len(pivots) < size:
+        return None
+    cols = [cols[p] for p in pivots[:size]]
+    pivots = _pivot_columns(spec, list(zip(*linalg.submatrix(M, rows, cols))))
+    return [rows[p] for p in pivots], cols
+
+
+def _pivot_columns(spec, M):
+    """The pivot columns of M over the field of spec, in increasing order:
+    over Q(r) from the elimination of its rows cleared to Z[r]."""
+    if spec.is_generic or spec.is_quotient:
+        return linalg.rref(M, spec.field())[1]
+    return linalg.rref_zr([_zr_row(row) for row in M])[1]
 
 
 def _nested_indices(n):

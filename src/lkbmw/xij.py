@@ -38,7 +38,7 @@ def xij_by_conjugation(mats, i, j):
     n = mats.n
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
-    ctx = mats.ctx if mats.ctx is not None else mats.spec.field()
+    ctx = mats.spec.field()
     X = mats.E[i - 1]
     for t in range(i + 2, j + 1):
         X = linalg.mat_mul(mats.G[t - 2], linalg.mat_mul(X, mats.Ginv[t - 2]))
@@ -58,7 +58,7 @@ def xij_by_conjugation(mats, i, j):
     return XOperator(i=i, j=j, n=n, row=row)
 
 
-def xij_direct_coeff(n, i, j, sigma, ctx=None):
+def xij_direct_coeff(n, i, j, sigma, ctx):
     """Coefficient of w_ij in nu(X_ij)(x_sigma), by pure case dispatch.
 
     The cases, for sigma = w_{s,t} against the pair (i, j):
@@ -75,8 +75,6 @@ def xij_direct_coeff(n, i, j, sigma, ctx=None):
     with a, b at least 1 in the crossing rules, so the exact-match rules
     above always win on the boundary.
     """
-    if ctx is None:
-        ctx = Specialization.generic().field()
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
     s, t = sigma.i, sigma.j
@@ -109,10 +107,8 @@ def xij_direct_coeff(n, i, j, sigma, ctx=None):
     return ctx.zero()
 
 
-def xij_direct(n, i, j, ctx=None):
+def xij_direct(n, i, j, ctx):
     """nu(X_ij) as an XOperator from the direct dispatch."""
-    if ctx is None:
-        ctx = Specialization.generic().field()
     row = {}
     for sigma in all_roots(n):
         c = xij_direct_coeff(n, i, j, sigma, ctx)
@@ -134,9 +130,9 @@ class SumMatrix:
         return num_roots(self.n)
 
 
-def _stack(n, spec, operators, ctx):
+def _stack(n, spec, operators):
     size = num_roots(n)
-    zero = ctx.zero()
+    zero = spec.field().zero()
     M = [[zero] * size for _ in range(size)]
     for op in operators:
         a = op.row_position() - 1
@@ -149,8 +145,7 @@ def sum_matrix(mats):
     """T(n) assembled from the conjugated operators."""
     ops = [xij_by_conjugation(mats, i, j)
            for i in range(1, mats.n) for j in range(i + 1, mats.n + 1)]
-    ctx = mats.ctx if mats.ctx is not None else mats.spec.field()
-    return _stack(mats.n, mats.spec, ops, ctx)
+    return _stack(mats.n, mats.spec, ops)
 
 
 def sum_matrix_direct(n, spec=None):
@@ -164,4 +159,4 @@ def sum_matrix_direct(n, spec=None):
     require_nonzero_m(ctx)
     ops = [xij_direct(n, i, j, ctx)
            for i in range(1, n) for j in range(i + 1, n + 1)]
-    return _stack(n, spec, ops, ctx)
+    return _stack(n, spec, ops)

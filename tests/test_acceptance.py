@@ -83,7 +83,7 @@ def test_criterion_4_operator_oracle():
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 conj = xij_by_conjugation(mats, i, j)  # asserts one-row shape
-                ok &= conj.row == xij_direct(n, i, j, mats.ctx).row
+                ok &= conj.row == xij_direct(n, i, j, mats.spec.field()).row
     for n, table in ((3, S_3), (4, S_4), (5, S_5)):
         ok &= linalg.mat_eq(sum_matrix(build_matrices(n)).entries, table)
     _report(4, "direct dispatch = conjugation on every entry, n=3..6", ok)

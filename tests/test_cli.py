@@ -3,6 +3,7 @@
 import json
 import pathlib
 import platform
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,46 @@ def test_exit_code_pole_in_quotient(runner, l_expr, modulus):
                                   "--modulus", modulus])
     assert result.exit_code == 3, result.output
     assert "vanishes modulo" in result.output
+
+
+@pytest.mark.parametrize("l_expr,modulus", [("0", None),
+                                             ("0", "cyclotomic:8"),
+                                             ("r^2+1", "cyclotomic:4")])
+def test_exit_code_l_vanishes_in_the_target_field(runner, l_expr, modulus):
+    args = ["kernel", "--n", "4", "--l", l_expr]
+    if modulus:
+        args += ["--modulus", modulus]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert ("error: parse: l must specialize to a nonzero value"
+            in result.output)
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", "--n", "4", "--l", "r", "--modulus", "cyclotomic:1000000"],
+    ["kernel", "--n", "6", "--l", "r", "--modulus", "cyclotomic:30030"],
+    ["kernel", "--n", "8", "--l", "r^2", "--modulus", "cyclotomic:997"],
+    ["kernel", "--n", "12", "--l", "r^2", "--modulus", "cyclotomic:97"],
+])
+def test_exit_code_cyclotomic_index_cap(runner, args):
+    # each of these runs for 15 s to minutes when accepted; Phi_M is
+    # refused before it is built
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "error: parse: cyclotomic index above %d" % (
+        rings.MAX_CYCLOTOMIC_INDEX) in result.output
+    assert int(args[-1].split(":")[1]) not in rings._CYCLO_CACHE
+
+
+def test_rank_witness_above_the_rank_answers_at_once(runner):
+    # T(6) at l = r has rank 6, so no 7 x 7 minor is invertible; trying
+    # each of the C(15, 7)^2 minors would take minutes
+    start = time.perf_counter()
+    result = runner.invoke(main, ["rank-witness", "--n", "6", "--l", "r",
+                                  "--size", "7"])
+    assert time.perf_counter() - start < 10
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["found"] is False
 
 
 @pytest.mark.parametrize("l_expr", ["(" * 1200 + "r" + ")" * 1200,

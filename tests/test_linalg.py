@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 from lkbmw.linalg import (bareiss_det_poly, is_zero_vector, kernel_basis,
                           kernel_basis_zr, mat_add, mat_mul, mat_scale, mat_sub,
                           mat_vec, rank, rref, rref_zr)
-from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, GenericContext, Poly2,
-                         QuotientField, cyclotomic)
+from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, Poly2, QuotientField,
+                         Specialization, cyclotomic)
 
 L, R, ONE = Poly2.var_l(), Poly2.var_r(), Poly2.one()
+GEN = Specialization.generic().field()
 
 
 def leibniz_det(M):
@@ -173,15 +174,14 @@ def _is_primitive(row):
 @given(M=_zr_matrices())
 @settings(max_examples=150, deadline=None)
 def test_kernel_over_zr_matches_field_elimination(M):
-    ctx = GenericContext()
     A = [[_fe(e) for e in row] for row in M]
     rows, pivots = rref_zr(M)
-    expected_rows, expected_pivots = rref(A, ctx)
+    expected_rows, expected_pivots = rref(A, GEN)
     assert pivots == expected_pivots
     for row, p, want in zip(rows, pivots, expected_rows):
         assert [_fe(e) / _fe(row[p]) for e in row] == want
         assert _is_primitive(row)
-    assert kernel_basis_zr(M) == kernel_basis(A, ctx)
+    assert kernel_basis_zr(M) == kernel_basis(A, GEN)
 
 
 # -- zero-aware products and elementwise operations ---------------------------
@@ -343,7 +343,7 @@ def _assert_echelon_kernel(M, basis, ctx):
 @settings(max_examples=100, deadline=None)
 def test_kernel_over_zr_is_in_reduced_echelon_form(M):
     _assert_echelon_kernel([[_fe(e) for e in row] for row in M],
-                           kernel_basis_zr(M), GenericContext())
+                           kernel_basis_zr(M), GEN)
 
 
 @given(M=_cyc_matrices())

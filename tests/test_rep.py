@@ -153,7 +153,7 @@ def test_det_of_every_five_strand_generator():
 # -- the case formulas pointwise ---------------------------------------------
 
 def test_nu_action_adjacent_example():
-    col = nu_action(3, 1, RootIndex(2, 3, 3))
+    col = nu_action(3, 1, RootIndex(2, 3, 3), GEN)
     m = GEN.m()
     assert col == {RootIndex(1, 3, 3): GEN.one(),
                    RootIndex(1, 2, 3): m,
@@ -161,12 +161,12 @@ def test_nu_action_adjacent_example():
 
 
 def test_nu_action_disjoint_is_r():
-    col = nu_action(4, 3, RootIndex(1, 2, 4))
+    col = nu_action(4, 3, RootIndex(1, 2, 4), GEN)
     assert col == {RootIndex(1, 2, 4): R}
 
 
 def test_nu_action_tall_column():
-    col = nu_action(5, 4, RootIndex(1, 5, 5))
+    col = nu_action(5, 4, RootIndex(1, 5, 5), GEN)
     m = GEN.m()
     assert col == {RootIndex(1, 4, 5): GEN.one(),
                    RootIndex(4, 5, 5): m / (L * R ** 2),
@@ -174,9 +174,9 @@ def test_nu_action_tall_column():
 
 
 def test_nu_e_action_examples():
-    assert nu_e_action(3, 1, RootIndex(1, 2, 3)) == {
+    assert nu_e_action(3, 1, RootIndex(1, 2, 3), GEN) == {
         RootIndex(1, 2, 3): GEN.x()}
-    assert nu_e_action(3, 2, RootIndex(1, 3, 3)) == {
+    assert nu_e_action(3, 2, RootIndex(1, 3, 3), GEN) == {
         RootIndex(2, 3, 3): 1 / L}
 
 
@@ -194,7 +194,7 @@ def test_nu_inv_action_matches_matrix_inverse():
     mats = build_matrices(n)
     for i in range(1, n):
         for beta in all_roots(n):
-            col = nu_inv_action(n, i, beta)
+            col = nu_inv_action(n, i, beta, GEN)
             dense = [GEN.zero()] * mats.size
             for root, c in col.items():
                 dense[root.position() - 1] = c

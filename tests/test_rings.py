@@ -422,19 +422,28 @@ def test_cyc_element_matches_sympy(m):
             assert back == a and hash(back) == hash(a)
 
 
+# the generic field (m = l_text = None), Q(r) (m = None) and quotient fields
 @pytest.mark.parametrize("m,l_text", [(16, "-r^3"), (28, "1/r^11"),
-                                      (12, "(2*r + 3)/(r^2 - 5)")])
+                                      (12, "(2*r + 3)/(r^2 - 5)"),
+                                      (None, None), (None, "r^2"),
+                                      (None, "(2*r + 3)/(r^2 - 5)")])
 def test_quotient_context_constants_match_fresh_values(m, l_text):
-    l_value = parse_r_expression(l_text)
-    s = Specialization.l_to_mod(l_value, m)
+    if l_text is None:
+        s, l_value = Specialization.generic(), L
+        assert Specialization.generic() is s
+    elif m is None:
+        l_value = parse_r_expression(l_text)
+        s = Specialization.l_to(l_value)
+    else:
+        l_value = parse_r_expression(l_text)
+        s = Specialization.l_to_mod(l_value, m)
     ctx = s.field()
     assert s.field() is ctx
-    fld = QuotientField(cyclotomic(m))
     for k in range(-15, 16):
-        assert ctx.r_pow(k) == fld.embed(FieldElement.r_pow(k)), k
-    assert ctx.l() == fld.embed(l_value)
-    assert ctx.l_inv() == fld.embed(l_value.inverse())
-    assert ctx.m() == fld.embed(fe_m())
+        assert ctx.r_pow(k) == specialize(FieldElement.r_pow(k), s), k
+    assert ctx.l() == specialize(l_value, s)
+    assert ctx.l_inv() == specialize(l_value.inverse(), s)
+    assert ctx.m() == specialize(fe_m(), s)
     assert ctx.x() == specialize(fe_x_of(L, fe_m()), s)
 
 

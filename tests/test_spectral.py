@@ -1,6 +1,8 @@
 """Determinant locus, kernels, named vectors, submatrix search."""
 
+import itertools
 import json
+import random
 
 import pytest
 import sympy
@@ -213,6 +215,40 @@ def test_nested_determinant_formula(n):
 def test_rank_witness_first_hit():
     hit = rank_witness(5, SPEC_R, 5)
     assert hit == ([1, 2, 3, 4, 7], [1, 2, 3, 4, 7])
+
+
+def _scan_rank_witness(n, spec, size, row_pool, col_pool):
+    """The first invertible minor by trying every one, columns outermost."""
+    M = t_matrix(n, spec).entries
+    for cols in itertools.combinations(sorted(col_pool), size):
+        for rows in itertools.combinations(sorted(row_pool), size):
+            minor = linalg.submatrix(M, rows, cols)
+            if not linalg.det(minor, spec.field()).is_zero():
+                return list(rows), list(cols)
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("modulus", [None, "4n"])
+def test_rank_witness_matches_the_scan(n, modulus):
+    rng = random.Random(n)
+    N = n * (n - 1) // 2
+    for l_text in _kernel_points(n):
+        spec = (Specialization.l_to(l_text) if modulus is None
+                else Specialization.l_to_mod(l_text, 4 * n))
+        # the scan tries every minor when none is invertible, so its sizes
+        # and pools are kept small
+        for size in range(1, min(N, 5 if n < 5 else 3) + 1):
+            pools = [(list(range(1, N + 1)), list(range(1, N + 1)))]
+            for _ in range(2):
+                # random pools, with repeated indices
+                pools.append(tuple(
+                    [rng.randint(1, N) for _ in range(rng.randint(size, 7))]
+                    for _ in range(2)))
+            for rows, cols in pools:
+                assert (rank_witness(n, spec, size, rows, cols)
+                        == _scan_rank_witness(n, spec, size, rows, cols)), (
+                    l_text, size, rows, cols)
 
 
 def test_kernel_report_named_verdicts():

@@ -81,7 +81,7 @@ def test_direct_dispatch_equals_conjugation(n):
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             a = xij_by_conjugation(mats, i, j)
-            b = xij_direct(n, i, j, mats.ctx)
+            b = xij_direct(n, i, j, GEN)
             assert a.row == b.row, (n, i, j)
 
 
@@ -99,11 +99,11 @@ def test_one_nonzero_row_structure():
 def test_direct_coeff_examples():
     # side extensions to the right: the exponent grows with both the step
     # and the width of the acting pair
-    assert xij_direct_coeff(5, 3, 4, RootIndex(4, 5, 5)) == GEN.one()
-    assert xij_direct_coeff(6, 3, 4, RootIndex(4, 6, 6)) == R
-    assert xij_direct_coeff(5, 2, 4, RootIndex(4, 5, 5)) == R
+    assert xij_direct_coeff(5, 3, 4, RootIndex(4, 5, 5), GEN) == GEN.one()
+    assert xij_direct_coeff(6, 3, 4, RootIndex(4, 6, 6), GEN) == R
+    assert xij_direct_coeff(5, 2, 4, RootIndex(4, 5, 5), GEN) == R
     # the diagonal carries the idempotent eigenvalue
-    assert xij_direct_coeff(5, 3, 4, RootIndex(3, 4, 5)) == GEN.x()
+    assert xij_direct_coeff(5, 3, 4, RootIndex(3, 4, 5), GEN) == GEN.x()
     # left crossing with both offsets one, specialized at l = -1/r
     spec = Specialization.l_to(-(1 / R))
     ctx = spec.field()
@@ -111,7 +111,7 @@ def test_direct_coeff_examples():
     assert got == (ctx.r_pow(-1) - ctx.r_pow(1)) * (-ctx.r_pow(1)
                                                     - ctx.r_pow(-1))
     # disjoint supports vanish
-    assert xij_direct_coeff(5, 1, 3, RootIndex(4, 5, 5)).is_zero()
+    assert xij_direct_coeff(5, 1, 3, RootIndex(4, 5, 5), GEN).is_zero()
 
 
 def test_specialized_sum_matrix_diagonal():
