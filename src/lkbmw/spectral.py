@@ -10,7 +10,8 @@ candidate l = +-r^k at which the numerator vanishes, computes each kernel
 in reduced echelon form by one elimination of T(n) with its columns reversed
 (over Q(r) fraction-free, on the rows cleared to Z[r]; over a cyclotomic
 quotient field in the field), and carries a catalogue of the explicit
-spanning vectors with a membership checker.
+spanning vectors with a membership checker.  Over Q(r) the kernel, the
+membership check and rank_witness read one cached T(n) cleared to Z[r].
 """
 
 from __future__ import annotations
@@ -34,6 +35,19 @@ class SizeGuardError(RuntimeError):
 def t_matrix(n, spec):
     """T(n) over the field of the specialization (cached)."""
     return sum_matrix_direct(n, spec)
+
+
+def _over_qr(spec):
+    """Whether T(n) at spec is read cleared to Z[r], as t_zr."""
+    return not (spec.is_generic or spec.is_quotient)
+
+
+@functools.lru_cache(maxsize=8)
+def t_zr(n, spec):
+    """The rows of T(n) over Q(r) cleared to Z[r] by _zr_row (cached): the
+    one cleared matrix that kernel, the membership check and rank_witness
+    read."""
+    return [_zr_row(row) for row in t_matrix(n, spec).entries]
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +81,14 @@ def det_T(n, spec=None, guard=6):
 
 def _clear_row(row):
     """(cleared, lcm): the row of FieldElements times lcm, the lcm of its
-    entry denominators, as Poly2s."""
+    distinct entry denominators, as Poly2s."""
+    dens = dict.fromkeys(e.den for e in row)
     lcm = Poly2.one()
-    for e in row:
-        lcm = lcm.divexact(lcm.gcd(e.den)) * e.den
-    return [e.num * lcm.divexact(e.den) for e in row], lcm
+    for d in dens:
+        lcm = lcm.divexact(lcm.gcd(d)) * d
+    for d in dens:
+        dens[d] = lcm.divexact(d)
+    return [e.num * dens[e.den] for e in row], lcm
 
 
 def _det_cleared(M):
@@ -197,7 +214,6 @@ class KernelReport:
     spec: Specialization
     basis: list   # list of coordinate vectors (position order)
     dim: int
-    verdicts: dict = None  # name -> bool, filled by check_named
 
     def contains(self, vector):
         """Exact membership: T(n) v = 0 characterises K(n)."""
@@ -209,18 +225,35 @@ class KernelReport:
         out = {}
         for case in ALL_CASES:
             try:
-                vectors = named_vectors(self.n, case)
+                vectors = named_vectors(self.n, case, at=self.spec)
             except ValueError:
                 continue
             for v in vectors:
-                if v.spec == self.spec:
-                    out[v.name] = check_membership(v)
+                out[v.name] = check_membership(v)
         return out
 
 
 def _annihilates(n, spec, vector):
-    T = t_matrix(n, spec).entries
-    return linalg.is_zero_vector(linalg.mat_vec(T, vector))
+    """Whether T(n) v = 0.  Over Q(r) the nonzero entries of v are cleared
+    to Z[r] like the rows, and T v = 0 exactly when every cleared row's sum
+    of products with them is 0, since the row and vector scales are
+    nonzero; over the other fields by mat_vec."""
+    if not _over_qr(spec):
+        T = t_matrix(n, spec).entries
+        return linalg.is_zero_vector(linalg.mat_vec(T, vector))
+    nz = [j for j, e in enumerate(vector) if not e.is_zero()]
+    xs = _zr_row([vector[j] for j in nz])
+    for row in t_zr(n, spec):
+        acc = {}
+        for j, x in zip(nz, xs):
+            for a, c in enumerate(row[j]):
+                if c:
+                    for b, d in enumerate(x, a):
+                        if d:
+                            acc[b] = acc.get(b, 0) + c * d
+        if any(acc.values()):
+            return False
+    return True
 
 
 def kernel(n, spec):
@@ -234,11 +267,10 @@ def kernel(n, spec):
         raise ValueError(
             "kernel over the generic bivariate field is not supported; "
             "specialize l first")
-    M = t_matrix(n, spec).entries
     if spec.is_quotient:
-        basis = linalg.kernel_basis(M, spec.field())
+        basis = linalg.kernel_basis(t_matrix(n, spec).entries, spec.field())
     else:
-        basis = linalg.kernel_basis_zr([_zr_row(row) for row in M])
+        basis = linalg.kernel_basis_zr(t_zr(n, spec))
     return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis))
 
 
@@ -355,24 +387,32 @@ _SPEC_L_R = Specialization.l_to(_R)
 _SPEC_L_NEG_R3 = Specialization.l_to(-(_R ** 3))
 
 
-def named_vectors(n, case):
-    """The explicit kernel vectors known for the given case and size."""
+def named_vectors(n, case, at=None):
+    """The explicit kernel vectors known for the given case and size; with
+    `at`, only those at that specialization, in the same order, and a case
+    with none there returns before any coordinates are built."""
     if case not in ALL_CASES:
         raise ValueError("unknown case %r; one of %s" % (case, ALL_CASES))
     if n < 3:
         raise ValueError("n must be at least 3")
     out = []
 
+    def elsewhere(*specs):
+        return at is not None and at not in specs
+
     def emit(name, spec, coords):
-        out.append(NamedVector(name=name, n=n, case=case,
-                               spec=spec, coords=coords))
+        if not elsewhere(spec):
+            out.append(NamedVector(name=name, n=n, case=case,
+                                   spec=spec, coords=coords))
 
     if case == CASE_ONE_DIM:
         if n == 3:
             s_pos = Specialization.l_to(_R ** -3)
+            s_neg = Specialization.l_to(-(_R ** 3))
+            if elsewhere(s_pos, s_neg):
+                return out
             ctx = s_pos.field()
             emit("geom(3)", s_pos, geometric_coords(3, ctx, 1))
-            s_neg = Specialization.l_to(-(_R ** 3))
             ctx = s_neg.field()
             emit("geom-alt(3)", s_neg, geometric_coords(3, ctx, -1))
             ctx = s_pos.field()
@@ -381,6 +421,8 @@ def named_vectors(n, case):
                 (1, 3): ctx.one()}))
         elif n >= 4:
             spec = _spec_one_dim(n)
+            if elsewhere(spec):
+                return out
             ctx = spec.field()
             emit("geom(%d)" % n, spec, geometric_coords(n, ctx, 1))
             if n == 4:
@@ -400,6 +442,8 @@ def named_vectors(n, case):
     if case in (CASE_NM1_PLUS, CASE_NM1_MINUS):
         eps = 1 if case == CASE_NM1_PLUS else -1
         spec = _spec_nm1(n, eps)
+        if elsewhere(spec):
+            return out
         ctx = spec.field()
         for i in range(1, n):
             emit("vrow%d(%d)" % (i, n), spec, row_span_coords(n, i, ctx, eps))
@@ -434,6 +478,8 @@ def named_vectors(n, case):
 
     if case == CASE_L_R:
         spec = _SPEC_L_R
+        if elsewhere(spec):
+            return out
         ctx = spec.field()
         if n >= 5:
             emit("short-r(%d)" % n, spec, _coords(n, ctx, {
@@ -458,6 +504,8 @@ def named_vectors(n, case):
 
     if case == CASE_L_NEG_R3:
         spec = _SPEC_L_NEG_R3
+        if elsewhere(spec):
+            return out
         ctx = spec.field()
         if n == 3:
             emit("kv3-negr3", spec, _coords(3, ctx, {
@@ -479,15 +527,18 @@ def named_vectors(n, case):
         return out
 
     # root-of-unity variants: l = -r^3 with r a primitive 4n-th root of
-    # unity (so l also equals 1/r^{2n-3}); for n = 3 the 12th roots.
+    # unity (so l also equals 1/r^{2n-3}); for n = 3 the 12th roots.  The
+    # quotient field is built only when `at` can be one.
+    if at is not None and not at.is_quotient:
+        return out
+    spec = Specialization.l_to_mod(-(_R ** 3), 12 if n == 3 else 4 * n)
+    if elsewhere(spec):
+        return out
+    ctx = spec.field()
     if n == 3:
-        spec = Specialization.l_to_mod(-(_R ** 3), 12)
-        ctx = spec.field()
         emit("geom(3)", spec, geometric_coords(3, ctx, 1))
         emit("geom-alt(3)", spec, geometric_coords(3, ctx, -1))
         return out
-    spec = Specialization.l_to_mod(-(_R ** 3), 4 * n)
-    ctx = spec.field()
     emit("geom(%d)" % n, spec, geometric_coords(n, ctx, 1))
     if n >= 5:
         emit("short-negr3(%d)" % n, spec, _coords(n, ctx, {
@@ -570,7 +621,7 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
         raise ValueError("size must be at least 1")
     if size > len(row_pool) or size > len(col_pool):
         raise ValueError("size exceeds the index pools")
-    M = t_matrix(n, spec).entries
+    M = t_zr(n, spec) if _over_qr(spec) else t_matrix(n, spec).entries
     rows, cols = sorted(row_pool), sorted(col_pool)
     pivots = _pivot_columns(spec, linalg.submatrix(M, rows, cols))
     if len(pivots) < size:
@@ -581,11 +632,12 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
 
 
 def _pivot_columns(spec, M):
-    """The pivot columns of M over the field of spec, in increasing order:
-    over Q(r) from the elimination of its rows cleared to Z[r]."""
-    if spec.is_generic or spec.is_quotient:
-        return linalg.rref(M, spec.field())[1]
-    return linalg.rref_zr([_zr_row(row) for row in M])[1]
+    """The pivot columns of M over the field of spec, in increasing order;
+    over Q(r) M is a slice of t_zr, whose rows are T(n)'s scaled by nonzero
+    constants, which moves no pivot row or column."""
+    if _over_qr(spec):
+        return linalg.rref_zr(M)[1]
+    return linalg.rref(M, spec.field())[1]
 
 
 def _nested_indices(n):

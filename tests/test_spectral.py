@@ -11,13 +11,14 @@ from sympy.polys.matrices import DomainMatrix
 
 from lkbmw import linalg
 from lkbmw.cli import main
-from lkbmw.rings import FieldElement, Specialization
+from lkbmw.rings import FieldElement, Poly2, Specialization
 from lkbmw.roots import RootIndex
 from lkbmw.spectral import (ALL_CASES, CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
                             CASE_NM1_PLUS, CASE_ONE_DIM, SizeGuardError,
-                            check_membership, check_named, det_Sn_formula_check,
-                            det_T, kernel, named_vectors, rank_witness,
-                            reducibility_locus, submatrix_det, t_matrix)
+                            _annihilates, _clear_row, check_membership,
+                            check_named, det_Sn_formula_check, det_T, kernel,
+                            named_vectors, rank_witness, reducibility_locus,
+                            submatrix_det, t_matrix, t_zr)
 
 R = FieldElement.r()
 SPEC_R = Specialization.l_to(R)
@@ -370,3 +371,173 @@ def test_kernel_matches_sympy_nullspace():
     for i, v in enumerate(basis):
         for j, e in enumerate(v):
             assert _same(expected[i, j], e)
+
+
+# -- one cleared T(n) over Z[r]: membership and its shortcuts -----------------
+
+PINNED_L = ["1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)"]
+
+
+def _oracle_annihilates(n, spec, v):
+    """T(n) v = 0 by mat_vec over field elements."""
+    return linalg.is_zero_vector(linalg.mat_vec(t_matrix(n, spec).entries, v))
+
+
+def _agrees(n, spec, v):
+    expected = _oracle_annihilates(n, spec, v)
+    assert _annihilates(n, spec, v) == expected
+    return expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_integer_membership_matches_the_field_oracle(n):
+    one = FieldElement.from_int(1)
+    scale = (R ** 2 + 1) / (2 * R - 3)
+    rng = random.Random(n)
+    for case in ALL_CASES:
+        for named in named_vectors(n, case):
+            if named.spec.is_quotient:
+                continue
+            spec, v = named.spec, named.vector()
+            assert _agrees(n, spec, v), named.name
+            # non-monomial denominators in every nonzero entry
+            assert _agrees(n, spec, [e * scale for e in v]), named.name
+            j = rng.choice([j for j, e in enumerate(v) if not e.is_zero()])
+            for bent in (v[j] * R, v[j] + one):
+                w = list(v)
+                w[j] = bent
+                _agrees(n, spec, w)
+
+
+def _one_row_witness(n, spec, i):
+    """A vector that T(n) without row i annihilates; at a point where T(n)
+    is invertible, T(n) sends it to a multiple of the i-th unit vector."""
+    rows = [row for k, row in enumerate(t_zr(n, spec)) if k != i]
+    basis = linalg.kernel_basis_zr(rows)
+    assert len(basis) == 1
+    return basis[0]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("l_expr", PINNED_L + ["r^2"])
+def test_integer_membership_reads_every_row(n, l_expr):
+    spec = Specialization.l_to(l_expr)
+    N = n * (n - 1) // 2
+    for i in range(N):
+        v = _one_row_witness(n, spec, i)
+        assert not _agrees(n, spec, v), i
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("l_expr", PINNED_L)
+def test_integer_membership_at_the_pinned_l(n, l_expr):
+    """Random vectors; K(n) is 0 at these l, so no kernel vector exists."""
+    spec = Specialization.l_to(l_expr)
+    rng = random.Random(n)
+    N = n * (n - 1) // 2
+    assert kernel(n, spec).dim == 0
+    for _ in range(10):
+        v = [FieldElement.from_int(0)] * N
+        for j in rng.sample(range(N), rng.randint(1, N)):
+            v[j] = (R ** rng.randint(-3, 3) * rng.randint(-5, 5)
+                    + FieldElement.from_int(rng.randint(-2, 2)) / (R + 2))
+        _agrees(n, spec, v)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_integer_membership_on_kernel_combinations(n):
+    """Kernel members at the locus roots with non-monomial coefficients."""
+    rng = random.Random(n)
+    for l_expr in _kernel_points(n):
+        spec = Specialization.l_to(l_expr)
+        basis = kernel(n, spec).basis
+        if not basis:
+            continue
+        v = [FieldElement.from_int(0)] * len(basis[0])
+        for b in basis:
+            c = (R + rng.randint(1, 4)) / (R ** 2 + rng.randint(1, 4))
+            v = [x + c * y for x, y in zip(v, b)]
+        assert _agrees(n, spec, v), l_expr
+
+
+def _fold_clear_row(row):
+    """_clear_row as a fold over every entry, repeated denominators
+    included."""
+    lcm = Poly2.one()
+    for e in row:
+        lcm = lcm.divexact(lcm.gcd(e.den)) * e.den
+    return [e.num * lcm.divexact(e.den) for e in row], lcm
+
+
+def _clear_rows_under_test():
+    rows = []
+    for spec in [Specialization.generic()] + [Specialization.l_to(l)
+                                              for l in PINNED_L]:
+        rows += t_matrix(5, spec).entries
+    a, b = R ** 2 + 1, R - 3
+    rows += [[1 / a, R / a, R ** -2, 3 / R, 2 / b, R ** 3 / (a * b), 1 / a],
+             [R ** -3, R ** -1, R ** -3, FieldElement.from_int(0)],
+             [1 / (2 * R + 5), R / (2 * R + 5), 1 / (2 * R + 5)]]
+    return rows
+
+
+def test_clear_row_matches_the_per_entry_fold():
+    """The same (cleared, lcm) as the fold, up to one rational constant.
+    The fold divides its lcm by the leading coefficient of the primitive
+    form of a denominator each time that denominator repeats, so the two
+    agree exactly when every denominator has integer coefficients."""
+    for row in _clear_rows_under_test():
+        cleared, lcm = _clear_row(row)
+        fold_cleared, fold_lcm = _fold_clear_row(row)
+        c = lcm.leading_coeff() / fold_lcm.leading_coeff()
+        assert lcm == fold_lcm.scale(c)
+        assert cleared == [p.scale(c) for p in fold_cleared]
+        if all(q.denominator == 1 for e in row for q in e.den.terms.values()):
+            assert c == 1
+        for e, p in zip(row, cleared):
+            assert p * e.den == e.num * lcm
+
+
+def _cyclotomic_points(n):
+    return [Specialization.l_to_mod(l, 4 * n) for l in _kernel_points(n)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_named_vectors_at_a_specialization(n):
+    specs = ([Specialization.l_to(l) for l in _kernel_points(n)]
+             + _cyclotomic_points(n) + [Specialization.generic()])
+    if n == 3:
+        specs.append(Specialization.l_to_mod("-r^3", 12))
+    for case in ALL_CASES:
+        every = named_vectors(n, case)
+        for spec in specs:
+            got = named_vectors(n, case, at=spec)
+            assert ([(v.name, v.coords) for v in got]
+                    == [(v.name, v.coords) for v in every if v.spec == spec])
+
+
+def test_named_vectors_elsewhere_build_no_coordinates(monkeypatch):
+    from lkbmw import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built at another specialization")
+
+    for name in ("_coords", "geometric_coords", "row_span_coords",
+                 "tower_coords", "ladder_coords"):
+        monkeypatch.setattr(spectral, name, refuse)
+    monkeypatch.setattr(spectral.Specialization, "l_to_mod", refuse)
+    at = Specialization.l_to("r^2")
+    for n in (3, 4, 5, 8):
+        for case in ALL_CASES:
+            assert named_vectors(n, case, at=at) == []
+
+
+def test_t_zr_is_bounded_and_shared():
+    assert t_zr.cache_info().maxsize == 8
+    spec = Specialization.l_to("-r^3")
+    t_zr.cache_clear()
+    rep = kernel(5, spec)
+    assert rep.named_verdicts() and all(rep.named_verdicts().values())
+    rank_witness(5, spec, 4)
+    info = t_zr.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
