@@ -29,6 +29,7 @@ JOBS = {
     "kernel-n5-negr3-cyc20.json": ["kernel", "--n", "5", "--l", "-r^3",
                                    "--modulus", "cyclotomic:20"],
     "verify-n3.json": ["verify", "--n", "3"],
+    "verify-n5.json": ["verify", "--n", "5"],
     "specht-n7.json": ["specht", "--n", "7", "--gap-check"],
     "specht-n8.json": ["specht", "--n", "8", "--gap-check"],
 }

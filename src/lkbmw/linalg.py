@@ -1,76 +1,95 @@
-"""Dense exact linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
-Matrices are plain lists of lists of field elements (FieldElement or
-CycElement); every routine works for any element type supporting +, -, *, /,
-is_zero() and complexity().  Products and elementwise operations do
-arithmetic only where an operand is nonzero.  The exceptions take integer
-data: rref_zr and kernel_basis_zr a matrix over Z[r], bareiss_det_poly a
-matrix of Poly2 that int_row clears to integer coefficients row by row.
+Entries are field elements (FieldElement or CycElement); every routine works
+for any element type supporting +, -, *, /, is_zero() and complexity().
+Products and sums of matrices (identity, mat_mul, mat_add, mat_sub,
+mat_scale) work on sparse rows: a matrix is a list of rows, each a dict
+{column: entry} that stores no zero, so two such matrices are equal exactly
+when they compare equal with ==.  sparse and dense convert at the
+boundaries.  The other routines take dense lists of lists.  The exceptions
+take integer data: rref_zr and kernel_basis_zr a matrix over Z[r],
+bareiss_det_poly a matrix of Poly2 that int_row clears to integer
+coefficients row by row.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .rings import (_Q, _Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _den_lcm,
                     _divexact, _prs_gcd, _u_mul, _u_sub, _zr_content)
 
 
+# -- sparse rows: no stored zero ---------------------------------------------
+
+def sparse(M):
+    """The sparse rows of a dense matrix."""
+    return [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in M]
+
+
+def dense(S, ncols, zero):
+    """The dense matrix of sparse rows, ncols wide, zero where unstored."""
+    out = []
+    for row in S:
+        D = [zero] * ncols
+        for j, e in row.items():
+            D[j] = e
+        out.append(D)
+    return out
+
+
 def identity(n, ctx):
-    one, zero = ctx.one(), ctx.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    one = ctx.one()
+    return [{i: one} for i in range(n)]
 
 
 def mat_mul(A, B):
-    """A B with arithmetic on nonzero pairs only: each row of B is listed
-    once as its nonzero (column, entry) pairs, products are summed per
-    output row, and an entry no product reaches keeps one shared zero."""
-    m = len(B[0]) if B else 0
-    if not (A and m):
-        return [[] for _ in A]
-    zero = A[0][0] - A[0][0]
-    rows = [[(j, b) for j, b in enumerate(Bk) if not b.is_zero()]
-            for Bk in B]
+    """A B: row i sums a B_k over the stored entries a = A_ik, and keeps
+    only the sums that do not cancel."""
     out = []
     for Ai in A:
         acc = {}
-        for a, Bk in zip(Ai, rows):
-            if not Bk or a.is_zero():
-                continue
-            for j, b in Bk:
+        for k, a in Ai.items():
+            for j, b in B[k].items():
                 acc[j] = acc[j] + a * b if j in acc else a * b
-        Oi = [zero] * m
-        for j, v in acc.items():
-            Oi[j] = v
-        out.append(Oi)
+        out.append({j: v for j, v in acc.items() if not v.is_zero()})
+    return out
+
+
+def _merge(A, B, combine, lone):
+    """Entrywise combine(a, b) where both rows store column j, lone(b) where
+    only B does and a where only A does; cancelled entries are dropped."""
+    out = []
+    for ra, rb in zip(A, B):
+        row = dict(ra)
+        for j, b in rb.items():
+            if j not in row:
+                row[j] = lone(b)
+                continue
+            v = combine(row[j], b)
+            if v.is_zero():
+                del row[j]
+            else:
+                row[j] = v
+        out.append(row)
     return out
 
 
 def mat_add(A, B):
-    return [[b if a.is_zero() else a if b.is_zero() else a + b
-             for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return _merge(A, B, operator.add, lambda b: b)
 
 
 def mat_sub(A, B):
-    return [[-b if a.is_zero() else a if b.is_zero() else a - b
-             for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return _merge(A, B, operator.sub, operator.neg)
 
 
 def mat_scale(A, c):
-    return [[a if a.is_zero() else c * a for a in row] for row in A]
+    return [{j: v for j, a in row.items() if not (v := c * a).is_zero()}
+            for row in A]
 
 
-def mat_eq(A, B):
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            if a != b:
-                return False
-    return True
-
+# -- dense routines ----------------------------------------------------------
 
 def mat_vec(A, v):
     out = []

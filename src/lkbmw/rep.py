@@ -215,22 +215,22 @@ def build_matrices_recursive(n, spec=None):
     ctx = spec.field()
     require_nonzero_m(ctx)
     size = num_roots(n)
-    ident = linalg.identity(size, ctx)
+    zero = ctx.zero()
     m = ctx.m()
     l_over_m = ctx.l() / m
+    ident = linalg.identity(size, ctx)
+    m_ident = linalg.mat_scale(ident, m)
     G, E, Ginv = [], [], []
     for k in range(1, n):
         g = _g_recursive(k, n, ctx)
-        g2 = linalg.mat_mul(g, g)
-        e = linalg.mat_scale(
-            linalg.mat_sub(linalg.mat_add(g2, linalg.mat_scale(g, m)), ident),
-            l_over_m)
-        ginv = linalg.mat_sub(
-            linalg.mat_add(g, linalg.mat_scale(ident, m)),
-            linalg.mat_scale(e, m))
+        s = linalg.sparse(g)
+        e = linalg.mat_scale(linalg.mat_sub(linalg.mat_add(
+            linalg.mat_mul(s, s), linalg.mat_scale(s, m)), ident), l_over_m)
+        ginv = linalg.mat_sub(linalg.mat_add(s, m_ident),
+                              linalg.mat_scale(e, m))
         G.append(g)
-        E.append(e)
-        Ginv.append(ginv)
+        E.append(linalg.dense(e, size, zero))
+        Ginv.append(linalg.dense(ginv, size, zero))
     return LKMatrices(n=n, spec=spec, G=G, E=E, Ginv=Ginv)
 
 
@@ -255,89 +255,91 @@ def verify_relations(mats):
     """Check the defining relations of B(A_{n-1}) on the matrices, with exact
     equality: braid relations, the polynomial definition of the e_i, the
     mixed relations, the inverse law, the idempotent relation e_i^2 = x e_i
-    and the vanishing of e_i e_j for distant nodes."""
+    and the vanishing of e_i e_j for distant nodes.  The matrices are taken
+    to sparse rows once, where equality is == (linalg)."""
     n = mats.n
     ctx = mats.spec.field()
-    G, E, Ginv = mats.G, mats.E, mats.Ginv
-    size = mats.size
-    ident = linalg.identity(size, ctx)
+    G, E, Ginv = (list(map(linalg.sparse, F))
+                  for F in (mats.G, mats.E, mats.Ginv))
+    ident = linalg.identity(mats.size, ctx)
     m = ctx.m()
     l = ctx.l()
     linv = ctx.l_inv()
     x = ctx.x()
     mul = linalg.mat_mul
-    eq = linalg.mat_eq
+    add = linalg.mat_add
+    sub = linalg.mat_sub
     scale = linalg.mat_scale
     checks = []
 
-    def add(name, ok):
+    def check(name, ok):
         checks.append((name, ok))
 
     for a in range(n - 1):
         for b in range(a + 2, n - 1):
-            add("(1) g%dg%d=g%dg%d" % (a + 1, b + 1, b + 1, a + 1),
-                eq(mul(G[a], G[b]), mul(G[b], G[a])))
+            check("(1) g%dg%d=g%dg%d" % (a + 1, b + 1, b + 1, a + 1),
+                  mul(G[a], G[b]) == mul(G[b], G[a]))
     for a in range(n - 2):
-        lhs = mul(G[a], mul(G[a + 1], G[a]))
-        rhs = mul(G[a + 1], mul(G[a], G[a + 1]))
-        add("(2) braid g%d,g%d" % (a + 1, a + 2), eq(lhs, rhs))
+        # g_a g_{a+1} g_a = g_{a+1} g_a g_{a+1}, both around g_a g_{a+1}
+        p = mul(G[a], G[a + 1])
+        check("(2) braid g%d,g%d" % (a + 1, a + 2),
+              mul(p, G[a]) == mul(G[a + 1], p))
     # The relations that share a product are decided together, one a at a
     # time, so each product is computed once and only a few matrices are
     # alive at any moment; verdict[k][a] is the outcome of relation (k) at
     # a, and the checks are then reported in their fixed order.
     l_over_m = l / m
-    verdict = {k: [None] * (n - 1) for k in (3, 5, 6, 8, 10, 11, 12, 13)}
+    m_ident = scale(ident, m)
+    verdict = {k: [None] * (n - 1) for k in (3, 5, 6, 8, 9, 10, 11, 12, 13)}
     for a in range(n - 1):
         g2 = mul(G[a], G[a])
-        verdict[3][a] = eq(E[a], scale(linalg.mat_sub(
-            linalg.mat_add(g2, scale(G[a], m)), ident), l_over_m))
-        verdict[8][a] = eq(g2, linalg.mat_add(
-            linalg.mat_sub(ident, scale(G[a], m)), scale(E[a], m * linv)))
+        mg = scale(G[a], m)
+        verdict[3][a] = E[a] == scale(sub(add(g2, mg), ident), l_over_m)
+        verdict[8][a] = g2 == add(sub(ident, mg), scale(E[a], m * linv))
+        verdict[9][a] = (mul(G[a], Ginv[a]) == ident
+                         and Ginv[a] == sub(add(G[a], m_ident),
+                                            scale(E[a], m)))
         for b, (k1, k2, k3) in ((a + 1, (5, 10, 12)), (a - 1, (6, 11, 13))):
             if 0 <= b < n - 1:
                 ge, ee = mul(G[b], E[a]), mul(E[b], E[a])
-                verdict[k1][a] = eq(mul(E[a], ge), scale(E[a], l))
-                verdict[k2][a] = eq(mul(G[a], ge), ee)
-                verdict[k3][a] = eq(mul(G[a], ee), linalg.mat_add(
-                    ge, scale(linalg.mat_sub(E[a], ee), m)))
+                verdict[k1][a] = mul(E[a], ge) == scale(E[a], l)
+                verdict[k2][a] = mul(G[a], ge) == ee
+                verdict[k3][a] = mul(G[a], ee) == add(
+                    ge, scale(sub(E[a], ee), m))
 
     for a in range(n - 1):
-        add("(3) e%d polynomial in g%d" % (a + 1, a + 1), verdict[3][a])
+        check("(3) e%d polynomial in g%d" % (a + 1, a + 1), verdict[3][a])
     for a in range(n - 1):
-        add("(4) g%de%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
-            eq(mul(G[a], E[a]), scale(E[a], linv)))
+        check("(4) g%de%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
+              mul(G[a], E[a]) == scale(E[a], linv))
     for a in range(n - 2):
-        add("(5) e%dg%de%d=l e%d" % (a + 1, a + 2, a + 1, a + 1),
-            verdict[5][a])
+        check("(5) e%dg%de%d=l e%d" % (a + 1, a + 2, a + 1, a + 1),
+              verdict[5][a])
     for a in range(1, n - 1):
-        add("(6) e%dg%de%d=l e%d" % (a + 1, a, a + 1, a + 1), verdict[6][a])
+        check("(6) e%dg%de%d=l e%d" % (a + 1, a, a + 1, a + 1),
+              verdict[6][a])
     for a in range(n - 1):
-        add("(7) e%dg%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
-            eq(mul(E[a], G[a]), scale(E[a], linv)))
+        check("(7) e%dg%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
+              mul(E[a], G[a]) == scale(E[a], linv))
     for a in range(n - 1):
-        add("(8) g%d^2=1-mg+ml^-1 e" % (a + 1), verdict[8][a])
+        check("(8) g%d^2=1-mg+ml^-1 e" % (a + 1), verdict[8][a])
     for a in range(n - 1):
-        ok = eq(mul(G[a], Ginv[a]), ident) and eq(
-            Ginv[a],
-            linalg.mat_sub(linalg.mat_add(G[a], scale(ident, m)),
-                           scale(E[a], m)))
-        add("(9) inverse law g%d" % (a + 1), ok)
+        check("(9) inverse law g%d" % (a + 1), verdict[9][a])
     for a in range(n - 2):
-        add("(10) g%dg%de%d=e%de%d" % (a + 1, a + 2, a + 1, a + 2, a + 1),
-            verdict[10][a])
+        check("(10) g%dg%de%d=e%de%d" % (a + 1, a + 2, a + 1, a + 2, a + 1),
+              verdict[10][a])
     for a in range(1, n - 1):
-        add("(11) g%dg%de%d=e%de%d" % (a + 1, a, a + 1, a, a + 1),
-            verdict[11][a])
+        check("(11) g%dg%de%d=e%de%d" % (a + 1, a, a + 1, a, a + 1),
+              verdict[11][a])
     for a in range(n - 2):
-        add("(12) mixed g%de%de%d" % (a + 1, a + 2, a + 1), verdict[12][a])
+        check("(12) mixed g%de%de%d" % (a + 1, a + 2, a + 1), verdict[12][a])
     for a in range(1, n - 1):
-        add("(13) mixed g%de%de%d" % (a + 1, a, a + 1), verdict[13][a])
+        check("(13) mixed g%de%de%d" % (a + 1, a, a + 1), verdict[13][a])
     for a in range(n - 1):
-        add("idempotent e%d^2=x e%d" % (a + 1, a + 1),
-            eq(mul(E[a], E[a]), scale(E[a], x)))
+        check("idempotent e%d^2=x e%d" % (a + 1, a + 1),
+              mul(E[a], E[a]) == scale(E[a], x))
     for a in range(n - 1):
         for b in range(a + 2, n - 1):
-            z = mul(E[a], E[b])
-            add("e%de%d=0" % (a + 1, b + 1),
-                all(e.is_zero() for row in z for e in row))
+            check("e%de%d=0" % (a + 1, b + 1),
+                  not any(mul(E[a], E[b])))
     return RelationReport(n=n, spec=mats.spec, checks=checks)

@@ -186,25 +186,22 @@ def seed_matrices(family, n):
 
 def verify_seed_matrices(family, n):
     """Braid relations and the quadratic H^2 + mH = 1 for the family."""
-    mats, ctx = seed_matrices(family, n)
-    size = len(mats[0])
-    ident = linalg.identity(size, ctx)
+    gens, ctx = seed_matrices(family, n)
+    mats = [linalg.sparse(H) for H in gens]
+    ident = linalg.identity(len(mats[0]), ctx)
     m = ctx.m()
+    mul = linalg.mat_mul
     checks = []
     for idx, H in enumerate(mats, start=1):
-        h2 = linalg.mat_mul(H, H)
-        lhs = linalg.mat_add(h2, linalg.mat_scale(H, m))
-        checks.append(("%s%d quadratic" % (family, idx),
-                       linalg.mat_eq(lhs, ident)))
+        lhs = linalg.mat_add(mul(H, H), linalg.mat_scale(H, m))
+        checks.append(("%s%d quadratic" % (family, idx), lhs == ident))
     for a in range(len(mats) - 1):
-        lhs = linalg.mat_mul(mats[a], linalg.mat_mul(mats[a + 1], mats[a]))
-        rhs = linalg.mat_mul(mats[a + 1], linalg.mat_mul(mats[a], mats[a + 1]))
+        p = mul(mats[a], mats[a + 1])
         checks.append(("%s braid %d,%d" % (family, a + 1, a + 2),
-                       linalg.mat_eq(lhs, rhs)))
+                       mul(p, mats[a]) == mul(mats[a + 1], p)))
     for a in range(len(mats)):
         for b in range(a + 2, len(mats)):
             checks.append(("%s commute %d,%d" % (family, a + 1, b + 1),
-                           linalg.mat_eq(linalg.mat_mul(mats[a], mats[b]),
-                                         linalg.mat_mul(mats[b], mats[a]))))
+                           mul(mats[a], mats[b]) == mul(mats[b], mats[a])))
     return RelationReport(n=n, spec=Specialization.l_to(FieldElement.r()),
                           checks=checks)

@@ -17,7 +17,7 @@ membership check and rank_witness read one cached T(n) cleared to Z[r].
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from . import linalg
@@ -214,10 +214,11 @@ class KernelReport:
     spec: Specialization
     basis: list   # list of coordinate vectors (position order)
     dim: int
+    matrix: list = field(repr=False)  # T(n) as _annihilates reads it
 
     def contains(self, vector):
         """Exact membership: T(n) v = 0 characterises K(n)."""
-        return _annihilates(self.n, self.spec, vector)
+        return _annihilates(self.matrix, self.spec, vector)
 
     def named_verdicts(self):
         """Membership verdicts for every catalogued vector that lives at
@@ -229,21 +230,26 @@ class KernelReport:
             except ValueError:
                 continue
             for v in vectors:
-                out[v.name] = check_membership(v)
+                out[v.name] = self.contains(v.vector())
         return out
 
 
-def _annihilates(n, spec, vector):
-    """Whether T(n) v = 0.  Over Q(r) the nonzero entries of v are cleared
-    to Z[r] like the rows, and T v = 0 exactly when every cleared row's sum
-    of products with them is 0, since the row and vector scales are
-    nonzero; over the other fields by mat_vec."""
+def _t_read(n, spec):
+    """T(n) as _annihilates reads it: its rows cleared to Z[r] (t_zr) over
+    Q(r), its entries over the other fields."""
+    return t_zr(n, spec) if _over_qr(spec) else t_matrix(n, spec).entries
+
+
+def _annihilates(T, spec, vector):
+    """Whether T v = 0, for T = _t_read(n, spec).  Over Q(r) the nonzero
+    entries of v are cleared to Z[r] like the rows, and T v = 0 exactly
+    when every cleared row's sum of products with them is 0, since the row
+    and vector scales are nonzero; over the other fields by mat_vec."""
     if not _over_qr(spec):
-        T = t_matrix(n, spec).entries
         return linalg.is_zero_vector(linalg.mat_vec(T, vector))
     nz = [j for j, e in enumerate(vector) if not e.is_zero()]
     xs = _zr_row([vector[j] for j in nz])
-    for row in t_zr(n, spec):
+    for row in T:
         acc = {}
         for j, x in zip(nz, xs):
             for a, c in enumerate(row[j]):
@@ -267,11 +273,12 @@ def kernel(n, spec):
         raise ValueError(
             "kernel over the generic bivariate field is not supported; "
             "specialize l first")
+    T = _t_read(n, spec)
     if spec.is_quotient:
-        basis = linalg.kernel_basis(t_matrix(n, spec).entries, spec.field())
+        basis = linalg.kernel_basis(T, spec.field())
     else:
-        basis = linalg.kernel_basis_zr(t_zr(n, spec))
-    return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis))
+        basis = linalg.kernel_basis_zr(T)
+    return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis), matrix=T)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +303,7 @@ class NamedVector:
 
 def check_membership(v):
     """Whether T(n) annihilates the vector at its own specialization."""
-    return _annihilates(v.n, v.spec, v.vector())
+    return _annihilates(_t_read(v.n, v.spec), v.spec, v.vector())
 
 
 _R = FieldElement.r()

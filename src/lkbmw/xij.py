@@ -38,23 +38,16 @@ def xij_by_conjugation(mats, i, j):
     n = mats.n
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
-    ctx = mats.spec.field()
-    X = mats.E[i - 1]
+    X = linalg.sparse(mats.E[i - 1])
     for t in range(i + 2, j + 1):
-        X = linalg.mat_mul(mats.G[t - 2], linalg.mat_mul(X, mats.Ginv[t - 2]))
+        X = linalg.mat_mul(linalg.sparse(mats.G[t - 2]), linalg.mat_mul(
+            X, linalg.sparse(mats.Ginv[t - 2])))
     target = RootIndex(i, j, n).position()
-    size = num_roots(n)
-    row = {}
-    for a in range(size):
-        for b in range(size):
-            coeff = X[a][b]
-            if coeff.is_zero():
-                continue
-            if a != target - 1:
-                raise StructureError(
-                    "nu(X_%d%d) has a nonzero entry outside row %d"
-                    % (i, j, target))
-            row[root_at(b + 1, n)] = coeff
+    if any(Xa for a, Xa in enumerate(X) if a != target - 1):
+        raise StructureError("nu(X_%d%d) has a nonzero entry outside row %d"
+                             % (i, j, target))
+    row = {root_at(b + 1, n): coeff
+           for b, coeff in sorted(X[target - 1].items())}
     return XOperator(i=i, j=j, n=n, row=row)
 
 

@@ -50,13 +50,13 @@ def test_criterion_1_relation_suite():
 def test_criterion_2_golden_matrices():
     ok = True
     m3 = build_matrices(3)
-    ok &= linalg.mat_eq(m3.G[0], G1_3) and linalg.mat_eq(m3.G[1], G2_3)
+    ok &= m3.G[0] == G1_3 and m3.G[1] == G2_3
     m4 = build_matrices(4)
     for got, want in zip(m4.G, (G1_4, G2_4, G3_4)):
-        ok &= linalg.mat_eq(got, want)
+        ok &= got == want
     m5 = build_matrices(5)
     for got, want in zip(m5.G, (G1_5, G2_5, G3_5, G4_5)):
-        ok &= linalg.mat_eq(got, want)
+        ok &= got == want
     expect = -(R ** 3) / L
     for g in m5.G:
         ok &= linalg.det(g, GEN) == expect
@@ -68,11 +68,11 @@ def test_criterion_3_builder_equivalence():
     for n in (4, 5, 6):
         a, b = build_matrices(n), build_matrices_recursive(n)
         for x, y in zip(a.G + a.E + a.Ginv, b.G + b.E + b.Ginv):
-            ok &= linalg.mat_eq(x, y)
+            ok &= x == y
     spec = Specialization.l_to(R)
     a, b = build_matrices(7, spec), build_matrices_recursive(7, spec)
     for x, y in zip(a.G + a.E + a.Ginv, b.G + b.E + b.Ginv):
-        ok &= linalg.mat_eq(x, y)
+        ok &= x == y
     _report(3, "recursive block builder = closed form (n=4..6, 7@l=r)", ok)
 
 
@@ -85,7 +85,7 @@ def test_criterion_4_operator_oracle():
                 conj = xij_by_conjugation(mats, i, j)  # asserts one-row shape
                 ok &= conj.row == xij_direct(n, i, j, mats.spec.field()).row
     for n, table in ((3, S_3), (4, S_4), (5, S_5)):
-        ok &= linalg.mat_eq(sum_matrix(build_matrices(n)).entries, table)
+        ok &= sum_matrix(build_matrices(n)).entries == table
     _report(4, "direct dispatch = conjugation on every entry, n=3..6", ok)
 
 

@@ -241,6 +241,7 @@ GOLDEN_JOBS = [
     ("kernel-n5-negr3.json", ["kernel", "--n", "5", "--l", "-r^3"]),
     ("kernel-n5-negr3-cyc20.json", ["kernel", "--n", "5", "--l", "-r^3",
                                     "--modulus", "cyclotomic:20"]),
+    ("verify-n5.json", ["verify", "--n", "5"]),
 ]
 
 

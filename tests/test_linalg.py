@@ -1,6 +1,6 @@
 """The packed-integer Bareiss determinant against a Leibniz expansion, the
 Z[r] kernel against elimination over Q(r), the kernels' reduced echelon
-form, and the zero-aware dense operations against plain loops."""
+form, and the sparse-row operations against plain dense loops."""
 
 import functools
 import itertools
@@ -12,9 +12,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from lkbmw.linalg import (bareiss_det_poly, is_zero_vector, kernel_basis,
-                          kernel_basis_zr, mat_add, mat_mul, mat_scale, mat_sub,
-                          mat_vec, rank, rref, rref_zr)
+from lkbmw.linalg import (bareiss_det_poly, dense, identity, is_zero_vector,
+                          kernel_basis, kernel_basis_zr, mat_add, mat_mul,
+                          mat_scale, mat_sub, mat_vec, rank, rref, rref_zr,
+                          sparse)
 from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, Poly2, QuotientField,
                          Specialization, cyclotomic)
 
@@ -184,7 +185,7 @@ def test_kernel_over_zr_matches_field_elimination(M):
     assert kernel_basis_zr(M) == kernel_basis(A, GEN)
 
 
-# -- zero-aware products and elementwise operations ---------------------------
+# -- sparse-row products and elementwise operations -------------------------
 
 def _fe_add(a, b):
     return FieldElement(a.num * b.den + b.num * a.den, a.den * b.den)
@@ -253,6 +254,19 @@ def _assert_entrywise(got, want):
             assert g.is_zero() == w.is_zero()
 
 
+def _assert_sparse(got, want, ncols, ring):
+    """got, in sparse rows, stores no zero and is the dense want exactly."""
+    assert all(not e.is_zero() for row in got for e in row.values())
+    assert got == sparse(want)
+    _assert_entrywise(dense(got, ncols, _RINGS[ring][0]), want)
+
+
+def _sparse_round_trip(M, ncols, ring):
+    S = sparse(M)
+    _assert_entrywise(dense(S, ncols, _RINGS[ring][0]), M)
+    return S
+
+
 @given(data=st.data(), ring=st.sampled_from(sorted(_RINGS)),
        n=st.integers(0, 4), inner=st.integers(1, 4), m=st.integers(1, 4))
 @settings(max_examples=120, deadline=None)
@@ -269,7 +283,9 @@ def test_mat_mul_matches_plain_triple_loop(data, ring, n, inner, m):
         A[i] = [_RINGS[ring][0]] * inner
         A[i][k1], A[i][k2] = a, neg(a)
         B[k2] = list(B[k1])
-    _assert_entrywise(mat_mul(A, B), _plain_mul(A, B, ring))
+    got = mat_mul(_sparse_round_trip(A, inner, ring),
+                  _sparse_round_trip(B, m, ring))
+    _assert_sparse(got, _plain_mul(A, B, ring), m, ring)
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(_RINGS)),
@@ -287,21 +303,26 @@ def test_elementwise_operations_match_plain_loops(data, ring, n, m):
     for i, j in cells:
         if i < n and j < m:
             B_add[i][j], B_sub[i][j] = neg(A[i][j]), A[i][j]
-    _assert_entrywise(mat_add(A, B_add),
-                      [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(A, B_add)])
-    _assert_entrywise(mat_sub(A, B_sub),
-                      [[add(a, neg(b)) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(A, B_sub)])
-    _assert_entrywise(mat_scale(A, c), [[mul(c, a) for a in row] for row in A])
+    S = _sparse_round_trip(A, m, ring)
+    _assert_sparse(mat_add(S, _sparse_round_trip(B_add, m, ring)),
+                   [[add(a, b) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(A, B_add)], m, ring)
+    _assert_sparse(mat_sub(S, _sparse_round_trip(B_sub, m, ring)),
+                   [[add(a, neg(b)) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(A, B_sub)], m, ring)
+    _assert_sparse(mat_scale(S, c), [[mul(c, a) for a in row] for row in A],
+                   m, ring)
 
 
 def test_mat_mul_of_empty_and_rectangular_shapes():
     one, zero = FE_ONE, FE_ZERO
-    assert mat_mul([], [[one, zero]]) == []
-    assert mat_mul([[one], [zero]], [[one, one, zero]]) == [
-        [one, one, zero], [zero, zero, zero]]
-    assert mat_mul([[zero, zero]], [[one], [one]]) == [[zero]]
+    assert mat_mul([], sparse([[one, zero]])) == []
+    got = mat_mul(sparse([[one], [zero]]), sparse([[one, one, zero]]))
+    assert got == [{0: one, 1: one}, {}]
+    assert dense(got, 3, zero) == [[one, one, zero], [zero, zero, zero]]
+    assert mat_mul(sparse([[zero, zero]]), sparse([[one], [one]])) == [{}]
+    assert dense([{}], 0, zero) == [[]]
+    assert dense(identity(2, GEN), 2, zero) == [[one, zero], [zero, one]]
 
 
 # -- kernels in reduced echelon form ------------------------------------------

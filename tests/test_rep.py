@@ -126,21 +126,21 @@ G4_5 = grid([
 
 def test_golden_matrices_three_strands():
     mats = build_matrices(3)
-    assert linalg.mat_eq(mats.G[0], G1_3)
-    assert linalg.mat_eq(mats.G[1], G2_3)
+    assert mats.G[0] == G1_3
+    assert mats.G[1] == G2_3
 
 
 def test_golden_matrices_four_strands():
     mats = build_matrices(4)
-    assert linalg.mat_eq(mats.G[0], G1_4)
-    assert linalg.mat_eq(mats.G[1], G2_4)
-    assert linalg.mat_eq(mats.G[2], G3_4)
+    assert mats.G[0] == G1_4
+    assert mats.G[1] == G2_4
+    assert mats.G[2] == G3_4
 
 
 def test_golden_matrices_five_strands():
     mats = build_matrices(5)
     for got, want in zip(mats.G, (G1_5, G2_5, G3_5, G4_5)):
-        assert linalg.mat_eq(got, want)
+        assert got == want
 
 
 def test_det_of_every_five_strand_generator():
@@ -185,8 +185,9 @@ def test_nu_inverse_inverts():
     mats = build_matrices(n)
     ident = linalg.identity(mats.size, GEN)
     for g, ginv in zip(mats.G, mats.Ginv):
-        assert linalg.mat_eq(linalg.mat_mul(g, ginv), ident)
-        assert linalg.mat_eq(linalg.mat_mul(ginv, g), ident)
+        g, ginv = linalg.sparse(g), linalg.sparse(ginv)
+        assert linalg.mat_mul(g, ginv) == ident
+        assert linalg.mat_mul(ginv, g) == ident
 
 
 def test_nu_inv_action_matches_matrix_inverse():
@@ -209,7 +210,7 @@ def test_recursive_builder_matches_closed_form(n):
     a = build_matrices(n)
     b = build_matrices_recursive(n)
     for x, y in zip(a.G + a.E + a.Ginv, b.G + b.E + b.Ginv):
-        assert linalg.mat_eq(x, y)
+        assert x == y
 
 
 def test_recursive_corner_entry():
@@ -233,9 +234,12 @@ def test_relations_generic_large(n):
 
 # A corrupted matrix, one entry at a time: the relations that must then fail.
 # Ginv_1 enters only the inverse law; E_2 is compared with the polynomial in
-# G_2 and enters the quadratic relation of G_2; G_1 meets its inverse and E_1.
+# G_2 and enters the quadratic relation of G_2; G_1 meets its inverse and E_1;
+# G_2 enters the braid product G_1 G_2 and the shared m G_2 as well.
 _MUST_FAIL = {
     ("G", 0): {"(3) e1 polynomial in g1", "(9) inverse law g1"},
+    ("G", 1): {"(2) braid g1,g2", "(3) e2 polynomial in g2",
+               "(8) g2^2=1-mg+ml^-1 e", "(9) inverse law g2"},
     ("E", 1): {"(3) e2 polynomial in g2", "(8) g2^2=1-mg+ml^-1 e"},
     ("Ginv", 0): {"(9) inverse law g1"},
 }
@@ -262,6 +266,18 @@ def test_corrupted_entry_fails_its_relations(n, family, index, kind, pick):
         assert report.failures == ["(9) inverse law g1"]
 
 
+def test_distant_e_product_must_vanish():
+    # E_1 E_3 is E_1[w_12][w_34] times the row of w_34 of E_3, so a nonzero
+    # at that zero of E_1 must fail e1e3=0
+    mats = build_matrices(5)
+    E1 = [list(row) for row in mats.E[0]]
+    a, b = RootIndex(1, 2, 5).position() - 1, RootIndex(3, 4, 5).position() - 1
+    assert E1[a][b].is_zero()
+    E1[a][b] = R
+    report = verify_relations(dataclasses.replace(mats, E=[E1] + mats.E[1:]))
+    assert "e1e3=0" in report.failures
+
+
 def test_relations_specialized():
     spec = Specialization.l_to(-(R ** 3))
     report = verify_relations(build_matrices(4, spec))
@@ -269,9 +285,12 @@ def test_relations_specialized():
 
 
 def test_relations_quotient_field():
-    spec = Specialization.l_to_mod(-(R ** 3), 12)
-    report = verify_relations(build_matrices(3, spec))
-    assert report.all_pass, report.failures
+    # l = -r^3 modulo Phi_12 at n = 3 and modulo Phi_20 at n = 5, where
+    # every relation family occurs
+    for n, index in ((3, 12), (5, 20)):
+        spec = Specialization.l_to_mod(-(R ** 3), index)
+        report = verify_relations(build_matrices(n, spec))
+        assert report.all_pass, report.failures
 
 
 def test_eigen_relation():
@@ -279,13 +298,13 @@ def test_eigen_relation():
     mats = build_matrices(4)
     ident = linalg.identity(mats.size, GEN)
     m = GEN.m()
-    for g in mats.G:
+    for g in map(linalg.sparse, mats.G):
         a = linalg.mat_sub(g, linalg.mat_scale(ident, 1 / L))
         b = linalg.mat_sub(
             linalg.mat_add(linalg.mat_mul(g, g), linalg.mat_scale(g, m)),
             ident)
-        prod = linalg.mat_mul(a, b)
-        assert all(e.is_zero() for row in prod for e in row)
+        assert a != [{}] * mats.size and b != [{}] * mats.size
+        assert linalg.mat_mul(a, b) == [{}] * mats.size
 
 
 @pytest.mark.parametrize("lval", ["r", "-r^3", "1/r^2"])

@@ -15,8 +15,9 @@ from lkbmw.rings import FieldElement, Poly2, Specialization
 from lkbmw.roots import RootIndex
 from lkbmw.spectral import (ALL_CASES, CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
                             CASE_NM1_PLUS, CASE_ONE_DIM, SizeGuardError,
-                            _annihilates, _clear_row, check_membership,
-                            check_named, det_Sn_formula_check, det_T, kernel,
+                            _annihilates, _clear_row, _t_read,
+                            check_membership, check_named,
+                            det_Sn_formula_check, det_T, kernel,
                             named_vectors, rank_witness, reducibility_locus,
                             submatrix_det, t_matrix, t_zr)
 
@@ -385,7 +386,7 @@ def _oracle_annihilates(n, spec, v):
 
 def _agrees(n, spec, v):
     expected = _oracle_annihilates(n, spec, v)
-    assert _annihilates(n, spec, v) == expected
+    assert _annihilates(_t_read(n, spec), spec, v) == expected
     return expected
 
 
@@ -541,3 +542,24 @@ def test_t_zr_is_bounded_and_shared():
     rank_witness(5, spec, 4)
     info = t_zr.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_reports_keep_their_matrix_past_the_caches(monkeypatch):
+    # 24 reports, three times the caches' size: the later ones evict the
+    # earlier ones' T(n), and no report may build it again
+    from lkbmw import spectral
+
+    reports = [kernel(n, Specialization.l_to(l))
+               for n in (4, 5, 6, 7) for l in _kernel_points(n)]
+    before = [rep.named_verdicts() for rep in reports]
+    t_matrix.cache_clear()
+    t_zr.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("T(n) rebuilt")
+
+    monkeypatch.setattr(spectral, "sum_matrix_direct", refuse)
+    assert [rep.named_verdicts() for rep in reports] == before
+    # each locus root has catalogued vectors, all in its kernel; r^2 has none
+    assert [bool(v) for v in before] == ([True] * 5 + [False]) * 4
+    assert all(all(v.values()) for v in before)

@@ -1,5 +1,7 @@
 """Conjugate operators: structure, direct dispatch, sum matrices."""
 
+import dataclasses
+
 import pytest
 
 from test_rep import grid
@@ -8,8 +10,8 @@ from lkbmw import linalg
 from lkbmw.rep import build_matrices
 from lkbmw.rings import FieldElement, Specialization
 from lkbmw.roots import RootIndex, all_roots, num_roots
-from lkbmw.xij import (sum_matrix, sum_matrix_direct, xij_by_conjugation,
-                       xij_direct, xij_direct_coeff)
+from lkbmw.xij import (StructureError, sum_matrix, sum_matrix_direct,
+                       xij_by_conjugation, xij_direct, xij_direct_coeff)
 
 GEN = Specialization.generic().field()
 L = FieldElement.l()
@@ -57,10 +59,23 @@ def test_first_row_three_strands():
                       RootIndex(1, 3, 3): L}
 
 
+@pytest.mark.parametrize("row", [0, -1])
+def test_conjugation_rejects_a_second_nonzero_row(row):
+    # nu(X_34) at n = 4 is E_3, nonzero only in the row of w_34 (index 3);
+    # its first column is zero, and so is the last row's last entry
+    mats = build_matrices(4)
+    E3 = [list(r) for r in mats.E[2]]
+    assert E3[row][row].is_zero()
+    E3[row][row] = R
+    with pytest.raises(StructureError):
+        xij_by_conjugation(dataclasses.replace(mats, E=mats.E[:2] + [E3]),
+                           3, 4)
+
+
 @pytest.mark.parametrize("n,table", [(3, S_3), (4, S_4), (5, S_5)])
 def test_sum_matrix_displays(n, table):
     mats = build_matrices(n)
-    assert linalg.mat_eq(sum_matrix(mats).entries, table)
+    assert sum_matrix(mats).entries == table
 
 
 def test_crossing_entry_four_strands():
