@@ -15,7 +15,6 @@ coefficients row by row.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .rings import (_Q, _Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _den_lcm,
                     _divexact, _prs_gcd, _u_mul, _u_sub, _zr_content)
@@ -287,7 +286,7 @@ def _zr_primitive(row):
 
 
 def _zr_poly(v):
-    return Poly2({(0, i): _Q(c) for i, c in enumerate(v) if c})
+    return Poly2({(0, i): c for i, c in enumerate(v) if c})
 
 
 def rank(M, ctx):
@@ -368,4 +367,5 @@ def bareiss_det_poly(M):
             terms[divmod(slot, width)] = c
         packed = (packed - c) >> bits
         slot += 1
-    return Poly2(terms).scale(Fraction(1, scale))
+    det = Poly2(terms)
+    return det if scale == 1 else det.scale(_Q(1, scale))

@@ -2,7 +2,8 @@
 cyclotomic quotient fields Q[r]/(Phi_m).
 
 Polynomials in the two variables l and r are stored as sparse maps from
-exponent pairs (deg_l, deg_r) to rational coefficients.  Field elements are
+exponent pairs (deg_l, deg_r) to coefficients: a Python int when integral,
+and only otherwise a _Q (gmpy2's mpq, or Fraction).  Field elements are
 reduced fractions of such polynomials; the denominator is normalised to have
 leading coefficient 1 in the lexicographic order on (deg_l, deg_r), so that
 equality is plain structural equality.  Laurent expressions such as 1/r^k are
@@ -25,7 +26,7 @@ except ImportError:  # pragma: no cover
 
 _ZERO = _Q(0)
 _ONE = _Q(1)
-_ONE_TERMS = {(0, 0): _ONE}
+_ONE_TERMS = {(0, 0): 1}
 
 
 class ExactDivisionError(ArithmeticError):
@@ -45,7 +46,7 @@ class NonInvertibleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# raw term-dict helpers (keys are (deg_l, deg_r) pairs, values nonzero mpq)
+# raw term-dict helpers (keys are (deg_l, deg_r) pairs, values nonzero)
 # ---------------------------------------------------------------------------
 
 def _d_add(a, b):
@@ -325,7 +326,7 @@ def _d_gcd(a, b):
     c = _z_content(g.values())
     if g and g[max(g)] < 0:
         c = -c
-    return {k: _Q(v // c) for k, v in g.items()}
+    return {k: v // c for k, v in g.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +334,15 @@ def _d_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 class Poly2:
-    """A polynomial in Q[l, r], stored sparsely without zero coefficients."""
+    """A polynomial in Q[l, r], stored sparsely without zero coefficients.
+    An integral coefficient is always a Python int, any other a _Q."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.terms = {k: v if type(v) is int or v.denominator != 1
+                      else int(v.numerator)
+                      for k, v in (terms or {}).items() if v}
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -351,19 +355,19 @@ class Poly2:
 
     @staticmethod
     def const(c):
-        return Poly2({(0, 0): _Q(c)})
+        return Poly2({(0, 0): c})
 
     @staticmethod
     def var_l():
-        return Poly2({(1, 0): _ONE})
+        return Poly2({(1, 0): 1})
 
     @staticmethod
     def var_r():
-        return Poly2({(0, 1): _ONE})
+        return Poly2({(0, 1): 1})
 
     @staticmethod
     def monomial(deg_l, deg_r, c=1):
-        return Poly2({(deg_l, deg_r): _Q(c)})
+        return Poly2({(deg_l, deg_r): c})
 
     # -- queries -------------------------------------------------------------
     def is_zero(self):
@@ -378,11 +382,8 @@ class Poly2:
     def degree_r(self):
         return max(k[1] for k in self.terms) if self.terms else -1
 
-    def leading_key(self):
-        return max(self.terms) if self.terms else None
-
     def leading_coeff(self):
-        return self.terms[max(self.terms)] if self.terms else _ZERO
+        return self.terms[max(self.terms)] if self.terms else 0
 
     def __len__(self):
         return len(self.terms)
@@ -401,7 +402,7 @@ class Poly2:
         return Poly2(_d_mul(self.terms, other.terms))
 
     def scale(self, c):
-        return Poly2(_d_scale(self.terms, _Q(c)))
+        return Poly2(_d_scale(self.terms, c))
 
     def __pow__(self, k):
         if k < 0:
@@ -653,10 +654,17 @@ def _fe_reduce(num, den):
             num = _monomial_shift(num, va, vb)
             den = _monomial_shift(den, va, vb)
     else:
-        g = num.gcd(den)
-        if not (len(g) == 1 and g.leading_key() == (0, 0)):
-            num = num.divexact(g)
-            den = den.divexact(g)
+        # num / den = (A / da) / (B / db) on the integer ladders A and B, so
+        # with g = gcd(A, B) it is (A / g) db / da over B / g
+        A, da = _ladder(num.terms)
+        B, db = _ladder(den.terms)
+        g = _prs_gcd(A, B, _ZR)
+        if len(g) > 1 or len(g[0]) > 1:
+            num = _from_ll(_divexact(A, g, _ZR))
+            if da != db:
+                num = {k: _Q(c * db, da) for k, c in num.items()}
+            num = Poly2(num)
+            den = Poly2(_from_ll(_divexact(B, g, _ZR)))
     lc = den.leading_coeff()
     if lc != 1:
         inv = _ONE / lc
@@ -690,7 +698,7 @@ FE_ONE = FieldElement(_P_ONE, _P_ONE, reduce=False)
 
 def fe_m():
     """m = 1/r - r, the quadratic parameter."""
-    return FieldElement(Poly2({(0, 0): _ONE, (0, 2): -_ONE}),
+    return FieldElement(Poly2({(0, 0): 1, (0, 2): -1}),
                         Poly2.var_r(), reduce=False)
 
 
@@ -715,7 +723,7 @@ def cyclotomic(m):
         raise ValueError("cyclotomic index above %d" % MAX_CYCLOTOMIC_INDEX)
     if m in _CYCLO_CACHE:
         return _CYCLO_CACHE[m]
-    num = Poly2({(0, m): _ONE, (0, 0): -_ONE})
+    num = Poly2({(0, m): 1, (0, 0): -1})
     den = Poly2.one()
     for d in range(1, m):
         if m % d == 0:
@@ -726,11 +734,12 @@ def cyclotomic(m):
 
 
 def _poly_to_dense_r(p):
+    """The coefficients of p, as _Q values so that / on them stays exact."""
     if p.degree_l() > 0:
         raise ValueError("expected a polynomial in r only")
     out = [_ZERO] * (p.degree_r() + 1) if not p.is_zero() else []
     for (_, dr), c in p.terms.items():
-        out[dr] = c
+        out[dr] = _Q(c)
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
+from lkbmw import rings
 from lkbmw.rings import (FE_ONE, FE_ZERO, ExactDivisionError,
                          ExpressionError, FieldElement, NonInvertibleError,
                          PoleError, Poly2, QuotientField,
@@ -318,6 +319,120 @@ def test_gcd_of_cleared_det_numerator_matches_sympy(n, expected):
     assert FieldElement(num, den) == det_T(n)
 
 
+# -- integer coefficients: an integral coefficient is always an int ----------
+
+def _assert_int_or_q(p):
+    """Every coefficient of p is exactly an int when it is integral and a
+    _Q otherwise; never a float or a bool."""
+    for c in p.terms.values():
+        if type(c) is not int:
+            assert type(c) is rings._Q and c.denominator != 1, repr(c)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    k = (1, 2)
+    for two in (Fraction(2), 2, Fraction(4, 2)):
+        p = Poly2({k: two})
+        assert type(p.terms[k]) is int
+        assert p == Poly2({k: 2}) and hash(p) == hash(Poly2({k: 2}))
+        assert str(p) == "2*l*r^2"
+    assert type(Poly2({k: True}).terms[k]) is int
+    assert Poly2({k: Fraction(0)}).is_zero()
+    half = Poly2({k: Fraction(1, 2)})
+    assert type(half.terms[k]) is rings._Q and str(half) == "1/2*l*r^2"
+    with pytest.raises(AttributeError):
+        Poly2({k: 0.5})
+
+
+_NONINTEGRAL_R = ["3/(2*r+5)", "(r^2+r+1)/(r-2)", "1/(r^2+1)", "r/2 - 1/3",
+                  "(2*r + 3)/(r^2 - 5)", "-r^3", "1/r^7"]
+
+
+@given(a=_gcd_factor(False), b=_gcd_factor(False),
+       c=_gcd_coef.filter(bool), text=st.sampled_from(_NONINTEGRAL_R))
+@settings(max_examples=80, deadline=None)
+def test_every_result_keeps_ints_for_integral_coefficients(a, b, c, text):
+    value = parse_r_expression(text)
+    polys = [a + b, a - b, -a, a * b, a.scale(c), a.scale(Fraction(c)),
+             a.gcd(b), value.num, value.den]
+    if not b.is_zero():
+        x, y = FieldElement(a, b), FieldElement(b + Poly2.const(c), b)
+        elems = [x, y, x + y, x - y, x * y]
+        if not y.is_zero():
+            elems += [y.inverse(), x / y]
+        try:
+            elems.append(x.subs_l(value))
+        except PoleError:
+            pass
+        polys += [(a * b).divexact(b)]
+        polys += [p for e in elems for p in (e.num, e.den)]
+    for p in polys:
+        _assert_int_or_q(p)
+
+
+def _reduce_by_gcd(num, den):
+    """num / den in canonical form by the route _fe_reduce's gcd branch
+    replaced: Poly2.gcd, then one Poly2.divexact per side."""
+    g = num.gcd(den)
+    num, den = num.divexact(g), den.divexact(g)
+    inv = Fraction(1) / den.leading_coeff()
+    return num.scale(inv), den.scale(inv)
+
+
+@st.composite
+def _reducible_pair(draw):
+    """num = f g and den = f h, with g and h of two or more terms, so that
+    neither side is a monomial and the reduction takes the gcd branch; in
+    half the pairs every coefficient is an integer."""
+    coef = _gcd_coef if draw(st.booleans()) else st.integers(-9, 9)
+    key = st.tuples(st.integers(0, 2), st.integers(0, 3))
+
+    def poly(min_size):
+        terms = draw(st.dictionaries(key, coef.filter(bool),
+                                     min_size=min_size, max_size=4))
+        return Poly2({k: Fraction(c) for k, c in terms.items()})
+
+    return poly(1) * poly(2), poly(1) * poly(2)
+
+
+def _sympy_cancel(num, den):
+    """sympy's reduced num/den with the denominator's lex-leading
+    coefficient 1."""
+    p, q = _to_sympy(num).cancel(_to_sympy(den), include=True)
+    return p.quo_ground(q.LC()), q.quo_ground(q.LC())
+
+
+@given(pair=_reducible_pair())
+@settings(max_examples=120, deadline=None)
+def test_fused_reduction_matches_gcd_divexact_and_sympy(pair):
+    num, den = pair
+    got = rings._fe_reduce(num, den)
+    assert got == _reduce_by_gcd(num, den)
+    want = _sympy_cancel(num, den)
+    assert (_to_sympy(got[0]), _to_sympy(got[1])) == want
+    for p in got:
+        _assert_int_or_q(p)
+
+
+def test_gcd_branch_ladders_each_side_once(monkeypatch):
+    calls = []
+    ladder = rings._ladder
+
+    def counted(d):
+        calls.append(d)
+        return ladder(d)
+
+    monkeypatch.setattr(rings, "_ladder", counted)
+    f = Poly2({(1, 0): 1, (0, 1): 3})
+    num = f * Poly2({(0, 2): 2, (1, 0): Fraction(1, 3)})
+    den = f * Poly2({(1, 1): 1, (0, 0): 5})
+    got = rings._fe_reduce(num, den)
+    assert len(calls) == 2
+    assert got == (Poly2({(0, 2): 2, (1, 0): Fraction(1, 3)}),
+                   Poly2({(1, 1): 1, (0, 0): 5}))
+
+
+
 # -- cyclotomics --------------------------------------------------------------
 
 def test_first_cyclotomics():
@@ -420,6 +535,23 @@ def test_cyc_element_matches_sympy(m):
             # with an equal hash
             back = (a * b) / b
             assert back == a and hash(back) == hash(a)
+
+
+@pytest.mark.parametrize("m", [20, 24, 28])
+def test_inverse_of_r_with_int_coefficients(m):
+    """r and the modulus have int coefficients; the extended Euclid must
+    still divide them exactly, not as floats."""
+    fld = QuotientField(cyclotomic(m))
+    r = fld.element([0, 1])
+    assert r.inverse() * r == fld.one()
+    assert fld.embed(R).inverse() == fld.embed(R ** -1)
+
+
+def test_embed_of_an_integral_fraction():
+    fld = QuotientField(cyclotomic(20))
+    e = fld.embed(parse_r_expression("1/(r^2+1)"))
+    assert e * fld.embed(R ** 2 + FE_ONE) == fld.one()
+    assert str(e) == "4/5 - 3/5*r^2 + 2/5*r^4 - 1/5*r^6"
 
 
 # the generic field (m = l_text = None), Q(r) (m = None) and quotient fields

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -490,7 +491,7 @@ def test_clear_row_matches_the_per_entry_fold():
     for row in _clear_rows_under_test():
         cleared, lcm = _clear_row(row)
         fold_cleared, fold_lcm = _fold_clear_row(row)
-        c = lcm.leading_coeff() / fold_lcm.leading_coeff()
+        c = Fraction(lcm.leading_coeff(), fold_lcm.leading_coeff())
         assert lcm == fold_lcm.scale(c)
         assert cleared == [p.scale(c) for p in fold_cleared]
         if all(q.denominator == 1 for e in row for q in e.den.terms.values()):
