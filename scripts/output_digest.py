@@ -4,11 +4,12 @@ arguments, exit code, stdout and stderr.
 
 The list is every command of the benchmark's four workloads (read from
 perfbench/workloads.py), `kernel` and `det` at l = 1+r^2, 1/(r^2+1),
-(r^2+r+1)/(r-2) and 3/(2*r+5) for n = 4, 5, and `verify` at n = 5 with
-l = -r^3 modulo Phi_20.  Each command runs as its own `python -m lkbmw.cli`
-process on the `src/` of the tree this script sits in.  Two trees give the
-same output bytes for every command exactly when the script prints the same
-lines in both:
+(r^2+r+1)/(r-2) and 3/(2*r+5) for n = 4, 5, `verify` and `det` at n = 5
+with l = -r^3 modulo Phi_20, and `kernel` and `det` at n = 5 with the
+high-degree l = (r^64+1)/(r^63-3) modulo Phi_61.  Each command runs as its
+own `python -m lkbmw.cli` process on the `src/` of the tree this script sits
+in.  Two trees give the same output bytes for every command exactly when the
+script prints the same lines in both:
 
     python3 scripts/output_digest.py > after.txt   # in each tree
     diff before.txt after.txt
@@ -34,8 +35,12 @@ def commands():
     for cmd in ("kernel", "det"):
         for n in (4, 5):
             ops += [[cmd, "--n", str(n), "--l", l] for l in EXTRA_POINTS]
-    ops.append(["verify", "--n", "5", "--l", "-r^3",
-                "--modulus", "cyclotomic:20"])
+    for cmd in ("verify", "det"):
+        ops.append([cmd, "--n", "5", "--l", "-r^3",
+                    "--modulus", "cyclotomic:20"])
+    for cmd in ("kernel", "det"):
+        ops.append([cmd, "--n", "5", "--l", "(r^64+1)/(r^63-3)",
+                    "--modulus", "cyclotomic:61"])
     return ops
 
 

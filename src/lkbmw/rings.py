@@ -24,7 +24,6 @@ try:
 except ImportError:  # pragma: no cover
     _Q = Fraction
 
-_ZERO = _Q(0)
 _ONE = _Q(1)
 _ONE_TERMS = {(0, 0): 1}
 
@@ -110,7 +109,7 @@ def _d_degl(a):
 
 
 # dense univariate helpers: a list v with v[i] the coefficient of r^i --------
-# (ints on the integer ladders below, rationals in CycElement.inverse)
+# (ints, on the integer ladders below and in CycElement.inverse)
 
 def _u_trim(v):
     while v and not v[-1]:
@@ -127,6 +126,16 @@ def _u_sub(a, b):
     return _u_trim(out)
 
 
+def _u_cancel(a, ca, cb, s, b):
+    """ca * a - cb * r^s * b."""
+    out = [ca * c for c in a]
+    out += [0] * (len(b) + s - len(out))
+    for j, c in enumerate(b, s):
+        if c:
+            out[j] -= cb * c
+    return _u_trim(out)
+
+
 def _u_mul(a, b):
     if not a or not b:
         return []
@@ -138,25 +147,6 @@ def _u_mul(a, b):
             if cb:
                 out[i + j] = out[i + j] + ca * cb
     return _u_trim(out)
-
-
-def _u_divmod(a, b):
-    """Division with remainder over Q; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, lb = len(b) - 1, _Q(b[-1])
-    q = [_ZERO] * max(len(a) - db, 0)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db]
-        if not c:
-            continue
-        c = c / lb
-        q[k] = c
-        for j in range(db + 1):
-            if b[j]:
-                a[k + j] = a[k + j] - c * b[j]
-    return _u_trim(q), _u_trim(a[:db])
 
 
 # gcd and exact division over two integer rings ----------------------------
@@ -510,12 +500,6 @@ class FieldElement:
             return FieldElement(Poly2.monomial(0, k), _P_ONE, reduce=False)
         return FieldElement(_P_ONE, Poly2.monomial(0, -k), reduce=False)
 
-    @staticmethod
-    def l_pow(k):
-        if k >= 0:
-            return FieldElement(Poly2.monomial(k, 0), _P_ONE, reduce=False)
-        return FieldElement(_P_ONE, Poly2.monomial(-k, 0), reduce=False)
-
     # -- queries -------------------------------------------------------------
     def is_zero(self):
         return self.num.is_zero()
@@ -734,12 +718,12 @@ def cyclotomic(m):
 
 
 def _poly_to_dense_r(p):
-    """The coefficients of p, as _Q values so that / on them stays exact."""
+    """The coefficients of p, constant term first."""
     if p.degree_l() > 0:
         raise ValueError("expected a polynomial in r only")
-    out = [_ZERO] * (p.degree_r() + 1) if not p.is_zero() else []
+    out = [0] * (p.degree_r() + 1) if not p.is_zero() else []
     for (_, dr), c in p.terms.items():
-        out[dr] = _Q(c)
+        out[dr] = c
     return out
 
 
@@ -842,9 +826,6 @@ class CycElement:
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self.num == (1,) and self.den == 1
-
     def __bool__(self):
         return bool(self.num)
 
@@ -853,6 +834,10 @@ class CycElement:
 
     def _combine(self, other, sign):
         """self + sign * other, over the lcm of the two denominators."""
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign > 0 else -other
         a, b, den = self.num, other.num, self.den
         if den != other.den:
             g = math.gcd(den, other.den)
@@ -876,6 +861,10 @@ class CycElement:
 
     def __mul__(self, other):
         a, b = self.num, other.num
+        if not a or (b == (1,) and other.den == 1):
+            return self
+        if not b or (a == (1,) and self.den == 1):
+            return other
         out = [0] * (len(a) + len(b) - 1)
         b = [(j, c) for j, c in enumerate(b) if c]
         for i, ca in enumerate(a):
@@ -887,19 +876,29 @@ class CycElement:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero in the quotient field")
-        # extended Euclid over Q[r]
-        fld = self.field
-        r0, r1 = list(fld._dense), [_Q(c, self.den) for c in self.num]
-        t0, t1 = [], [_ONE]
-        while r1:
-            q, rem = _u_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _u_sub(t0, _u_mul(q, t1))
-        if len(r0) != 1:
-            g = Poly2({(0, i): c for i, c in enumerate(r0) if c})
+        # extended Euclid over Z[r]: each pair (r, t) has t * num = r modulo
+        # the modulus, up to an integer factor
+        r0, t0, r1, t1 = list(self.field._dense), [], list(self.num), [1]
+        while len(r1) > 1:
+            la, lb, s = r0[-1], r1[-1], len(r0) - len(r1)
+            g = math.gcd(la, lb)
+            r0 = _u_cancel(r0, lb // g, la // g, s, r1)
+            t0 = _u_cancel(t0, lb // g, la // g, s, t1)
+            g = math.gcd(*r0, *t0)
+            if g > 1:
+                r0 = [c // g for c in r0]
+                t0 = [c // g for c in t0]
+            if len(r0) < len(r1):
+                r0, t0, r1, t1 = r1, t1, r0, t0
+        if not r1:
+            g = math.gcd(*r0) if r0[-1] > 0 else -math.gcd(*r0)
+            g = Poly2({(0, i): c // g for i, c in enumerate(r0) if c})
             raise NonInvertibleError(
                 "element shares the factor (%s) with the modulus" % g, gcd=g)
-        return fld.element([c / r0[0] for c in t0])
+        # deg t1 < deg modulus, as in any extended Euclid started there
+        c = r1[0]
+        den = self.den if c > 0 else -self.den
+        return _cyc(self.field, [den * v for v in t1], abs(c))
 
     def __truediv__(self, other):
         return self * other.inverse()

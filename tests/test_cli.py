@@ -158,6 +158,19 @@ def test_rank_witness_above_the_rank_answers_at_once(runner):
     assert json.loads(result.output)["found"] is False
 
 
+@pytest.mark.parametrize("cmd", ["kernel", "det"])
+def test_high_degree_l_modulo_phi_61_answers_at_once(runner, cmd):
+    # embedded modulo Phi_61 this l has 60 coefficients of up to 95 bits;
+    # inverting such entries over Q[r] took 27 s (kernel) and 33 s (det)
+    start = time.perf_counter()
+    result = runner.invoke(main, [cmd, "--n", "5", "--l", "(r^64+1)/(r^63-3)",
+                                  "--modulus", "cyclotomic:61"])
+    assert time.perf_counter() - start < 10
+    assert result.exit_code == 0, result.output
+    if cmd == "kernel":
+        assert json.loads(result.output)["dim"] == 0
+
+
 @pytest.mark.parametrize("l_expr", ["(" * 1200 + "r" + ")" * 1200,
                                     "-" * 1200 + "r"])
 def test_exit_code_deep_nesting(runner, l_expr):

@@ -77,13 +77,18 @@ def test_quotient_pole_raises_pole_error():
 
 
 def test_non_invertible_in_reducible_quotient_names_gcd():
+    """The gcd is primitive in Z[r] with a positive leading coefficient."""
     # r^2 - 1 is reducible; r - 1 is a zero divisor there
-    modulus = Poly2({(0, 2): 1, (0, 0): -1})
-    fld = QuotientField(modulus)
-    elem = fld.element([-1, 1])
-    with pytest.raises(NonInvertibleError) as err:
-        elem.inverse()
-    assert err.value.gcd is not None
+    r2_minus_1 = Poly2({(0, 2): 1, (0, 0): -1})
+    for modulus, coeffs, gcd in [
+            (r2_minus_1, [-1, 1], [-1, 1]),
+            (r2_minus_1, [-3, 3], [-1, 1]),
+            (cyclotomic(3) * cyclotomic(4), [2, 0, 2], [1, 0, 1])]:
+        fld = QuotientField(modulus)
+        with pytest.raises(NonInvertibleError) as err:
+            fld.element(coeffs).inverse()
+        assert err.value.gcd == Poly2({(0, i): c
+                                       for i, c in enumerate(gcd) if c})
 
 
 # -- canonical form ----------------------------------------------------------
@@ -545,6 +550,87 @@ def test_inverse_of_r_with_int_coefficients(m):
     r = fld.element([0, 1])
     assert r.inverse() * r == fld.one()
     assert fld.embed(R).inverse() == fld.embed(R ** -1)
+
+
+def _q_divmod(a, b):
+    """Division with remainder over Q; b must be nonzero."""
+    a = list(a)
+    db, lb = len(b) - 1, Fraction(b[-1])
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[k + db]
+        if not c:
+            continue
+        c = c / lb
+        q[k] = c
+        for j in range(db + 1):
+            if b[j]:
+                a[k + j] = a[k + j] - c * b[j]
+    return rings._u_trim(q), rings._u_trim(a[:db])
+
+
+def _fraction_inverse(elem):
+    """The coefficients of 1/elem by the extended Euclid over Q[r] on
+    Fractions, which CycElement.inverse ran before it worked on integers;
+    kept as an oracle."""
+    r0 = [Fraction(c) for c in elem.field._dense]
+    r1 = [Fraction(c, elem.den) for c in elem.num]
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, rem = _q_divmod(r0, r1)
+        r0, r1 = r1, rem
+        t0, t1 = t1, rings._u_sub(t0, rings._u_mul(q, t1))
+    assert len(r0) == 1
+    return [c / r0[0] for c in t0]
+
+
+# the oracles' cost grows fast with the degree and the coefficient size, so
+# the widest random numerators go with the smaller degrees
+@pytest.mark.parametrize("m,bits", [(36, 40), (48, 40), (60, 40), (61, 4),
+                                    (64, 16)])
+def test_inverse_matches_sympy_and_the_fraction_euclid(m, bits):
+    rng = random.Random(m)
+    fld = QuotientField(cyclotomic(m))
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, _SR), _SR, domain=sympy.QQ)
+
+    def full_degree(bits):
+        den = rng.randint(1, 2 ** 20)
+        coeffs = [Fraction(rng.randint(-2 ** bits, 2 ** bits), den)
+                  for _ in range(fld.degree)]
+        coeffs[-1] = coeffs[-1] or Fraction(1, den)
+        elem = fld.element(coeffs)
+        assert len(elem.num) == fld.degree
+        return elem
+
+    # modulo Phi_61 the embedded l has full degree and 95-bit coefficients
+    high = fld.embed(parse_r_expression("(r^64+1)/(r^63-3)"))
+    for a in (high, full_degree(bits), fld.element([0, 1]),
+              fld.element([Fraction(-7, 3)])):
+        inv = a.inverse()
+        coeffs = [Fraction(c, a.den) for c in a.num]
+        _agrees(inv, sympy.invert(_sym_poly(coeffs), phi))
+        assert inv == fld.element(_fraction_inverse(a))
+        assert inv * a == fld.one() and inv.inverse() == a
+    a = full_degree(40)
+    assert a.inverse() * a == fld.one()
+
+
+def test_zero_and_one_operands_skip_the_product(monkeypatch):
+    fld = QuotientField(cyclotomic(20))
+    a = fld.element([Fraction(3, 2), 0, -5, Fraction(1, 7)])
+    zero, one = fld.zero(), fld.one()
+    calls = []
+    monkeypatch.setattr(rings, "_cyc",
+                        lambda *args: calls.append("_cyc"))
+    monkeypatch.setattr(QuotientField, "_reduce",
+                        lambda *args: calls.append("_reduce"))
+    results = [(a * zero, zero), (zero * a, zero), (a * one, a),
+               (one * a, a), (a + zero, a), (zero + a, a), (a - zero, a),
+               (zero - a, -a)]
+    assert calls == []
+    for got, want in results:
+        assert got == want and got.field is fld
+        assert got.num == want.num and got.den == want.den
 
 
 def test_embed_of_an_integral_fraction():
