@@ -7,7 +7,6 @@ import json
 import os
 import platform
 import sys
-from fractions import Fraction
 
 import click
 
@@ -323,7 +322,7 @@ def specht(n, gap_check, output, golden):
 def info():
     """The arithmetic backend and the Python version, as JSON."""
     payload = {"command": "info",
-               "backend": "Fraction" if rings._Q is Fraction else "gmpy2",
+               "backend": rings._Q.__name__,
                "python": platform.python_version()}
     click.echo(json.dumps(payload, indent=1, sort_keys=True))
 

@@ -7,17 +7,17 @@ mat_scale) work on sparse rows: a matrix is a list of rows, each a dict
 {column: entry} that stores no zero, so two such matrices are equal exactly
 when they compare equal with ==.  sparse and dense convert at the
 boundaries.  The other routines take dense lists of lists.  The exceptions
-take integer data: rref_zr and kernel_basis_zr a matrix over Z[r],
-bareiss_det_poly a matrix of Poly2 that int_row clears to integer
-coefficients row by row.
+take integer data: rref_zr and kernel_basis_zr a matrix over Z[r] (dense
+int coefficient lists), bareiss_det_poly a matrix over Z[l, r] (integer
+ladders, as rings._ladder builds them).
 """
 
 from __future__ import annotations
 
 import operator
 
-from .rings import (_Q, _Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _den_lcm,
-                    _divexact, _prs_gcd, _u_mul, _u_sub, _zr_content)
+from .rings import (_Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _divexact,
+                    _prs_gcd, _u_mul, _u_sub, _zr_content)
 
 
 # -- sparse rows: no stored zero ---------------------------------------------
@@ -298,44 +298,35 @@ def submatrix(M, rows, cols):
     return [[M[i - 1][j - 1] for j in cols] for i in rows]
 
 
-# -- fraction-free determinant over Q[l, r] ---------------------------------
-
-def int_row(row):
-    """(d, cleared): d the lcm of the coefficient denominators of a row of
-    Poly2, and cleared the row times d as dicts of int coefficients."""
-    d = _den_lcm(c for e in row for c in e.terms.values())
-    return d, [{k: int(c.numerator) * (d // int(c.denominator))
-                for k, c in e.terms.items()} for e in row]
-
+# -- fraction-free determinant over Z[l, r] ---------------------------------
 
 def bareiss_det_poly(M):
-    """Exact determinant of a Poly2 matrix by Bareiss one-step elimination
-    on Kronecker-packed integers.
+    """Exact determinant, as a Poly2, of a matrix over Z[l, r] whose entries
+    are integer ladders (entry[a][b] the coefficient of l^a r^b, as
+    rings._ladder builds them), by Bareiss one-step elimination on
+    Kronecker-packed integers.
 
-    Row i is cleared to integer coefficients by the lcm of its denominators.
-    Every entry the elimination produces is a minor of the cleared matrix,
-    so its r-degree is below W = 1 + sum_i (max r-degree in row i) and its
-    coefficients are at most H = prod_i max(1, sum_j ||M_ij||_1) in absolute
-    value (||.||_1 the sum of the absolute coefficients).  The ring map
-    l -> 2^(B W), r -> 2^B with 2^(B-1) > H is therefore injective on those
-    minors: a packed entry is zero exactly when its minor is, so the pivots
-    are those of the elimination over Q[l, r], every division by the previous
-    pivot is exact over Z (Sylvester's identity), and the last entry unpacks
-    to the determinant as balanced base-2^B digits.
+    Every entry the elimination produces is a minor of M, so its r-degree is
+    below W = 1 + sum_i (max r-degree in row i) and its coefficients are at
+    most H = prod_i max(1, sum_j ||M_ij||_1) in absolute value (||.||_1 the
+    sum of the absolute coefficients).  The ring map l -> 2^(B W),
+    r -> 2^B with 2^(B-1) > H is therefore injective on those minors: a
+    packed entry is zero exactly when its minor is, so the pivots are those
+    of the elimination over Q[l, r], every division by the previous pivot is
+    exact over Z (Sylvester's identity), and the last entry unpacks to the
+    determinant as balanced base-2^B digits.
     """
     n = len(M)
     if n == 0:
         return Poly2.one()
-    rows, scale, width, bound = [], 1, 1, 1
+    width, bound = 1, 1
     for row in M:
-        d, cleared = int_row(row)
-        scale *= d
-        width += max((b for e in cleared for _, b in e), default=0)
-        bound *= max(1, sum(abs(c) for e in cleared for c in e.values()))
-        rows.append(cleared)
+        width += max((len(v) - 1 for e in row for v in e), default=0)
+        bound *= max(1, sum(abs(c) for e in row for v in e for c in v))
     bits = bound.bit_length() + 1
-    A = [[sum(c << bits * (a * width + b) for (a, b), c in e.items())
-          for e in row] for row in rows]
+    A = [[sum(c << bits * (a * width + b)
+              for a, v in enumerate(e) for b, c in enumerate(v) if c)
+          for e in row] for row in M]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -367,5 +358,4 @@ def bareiss_det_poly(M):
             terms[divmod(slot, width)] = c
         packed = (packed - c) >> bits
         slot += 1
-    det = Poly2(terms)
-    return det if scale == 1 else det.scale(_Q(1, scale))
+    return Poly2(terms)

@@ -3,7 +3,7 @@ cyclotomic quotient fields Q[r]/(Phi_m).
 
 Polynomials in the two variables l and r are stored as sparse maps from
 exponent pairs (deg_l, deg_r) to coefficients: a Python int when integral,
-and only otherwise a _Q (gmpy2's mpq, or Fraction).  Field elements are
+and only otherwise a _Q, Python's Fraction.  Field elements are
 reduced fractions of such polynomials; the denominator is normalised to have
 leading coefficient 1 in the lexicographic order on (deg_l, deg_r), so that
 equality is plain structural equality.  Laurent expressions such as 1/r^k are
@@ -17,12 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+from fractions import Fraction as _Q
 
 _ONE = _Q(1)
 _ONE_TERMS = {(0, 0): 1}
@@ -1079,26 +1074,6 @@ def specialize(a, s):
     return s._field.embed(b)
 
 
-def is_semisimple_point(s, n):
-    """Whether (r^2)^k != 1 for all 1 <= k <= n in the target field of s.
-
-    Returns (True, None) or (False, k) with k the least violating power.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not s.is_quotient:
-        return True, None  # r is transcendental
-    fld = s._field
-    r2 = fld.element([0, 0, 1])
-    one = fld.one()
-    p = fld.one()
-    for k in range(1, n + 1):
-        p = p * r2
-        if p == one:
-            return False, k
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # parsing of l-expressions in r
 # ---------------------------------------------------------------------------
@@ -1111,6 +1086,15 @@ class ExpressionError(ValueError):
 # denominator, that parse_r_expression accepts; far larger values only make
 # the kernels run for hours
 MAX_R_DEGREE = 64
+
+# the largest bit length of the integer numerator or denominator of any
+# coefficient of an intermediate result that parse_r_expression accepts;
+# it admits (2 + r)^64, whose coefficients reach 102 bits.  The cost of a
+# determinant grows fast with it: with l = 2^64, 2^256 and 2^1024, det at
+# n = 5 took 1.6 s, 19 s and over 60 s, and l = (2^64)^64 made det at n = 4
+# run 88 s and then fail on Python's limit on int-to-str conversion
+# (2 cores, Python 3.11, Fraction backend)
+MAX_COEFF_BITS = 256
 
 # the largest M of a modulus Phi_M, whose quotient field has degree phi(M);
 # at n = 12 the slowest kernel measured within it, at l = 1/r^21 modulo
@@ -1128,10 +1112,20 @@ def _r_degree(fe):
     return max(fe.num.degree_r(), fe.den.degree_r())
 
 
+def _coeff_bits(fe):
+    """The largest bit length of a numerator or denominator of a
+    coefficient of fe."""
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for p in (fe.num, fe.den) for c in p.terms.values())
+
+
 def _capped(node):
     if _r_degree(node) > MAX_R_DEGREE:
         raise ExpressionError("expression has r-degree above %d"
                               % MAX_R_DEGREE)
+    if _coeff_bits(node) > MAX_COEFF_BITS:
+        raise ExpressionError("expression has a coefficient of more than %d "
+                              "bits" % MAX_COEFF_BITS)
     return node
 
 
@@ -1139,8 +1133,8 @@ def parse_r_expression(text):
     """Parse a rational expression in r (integers, + - * / ^, parentheses)
     into a FieldElement.  The keyword 'generic' is handled by the caller.
     Exponents and the r-degree of every intermediate result are capped at
-    MAX_R_DEGREE, and the nesting of parentheses and unary signs at
-    MAX_NESTING."""
+    MAX_R_DEGREE, the bit length of its coefficients at MAX_COEFF_BITS, and
+    the nesting of parentheses and unary signs at MAX_NESTING."""
     tokens = _tokenize(text)
     pos = 0
     depth = 0
@@ -1212,7 +1206,9 @@ def parse_r_expression(text):
             if exp * _r_degree(base) > MAX_R_DEGREE:
                 raise ExpressionError("power has r-degree above %d"
                                       % MAX_R_DEGREE)
-            return base ** (sign * exp)
+            if sign * exp < 0 and base.is_zero():
+                raise ExpressionError("division by zero in expression")
+            return _capped(base ** (sign * exp))
         return base
 
     def parse_atom():
@@ -1230,7 +1226,7 @@ def parse_r_expression(text):
             return FieldElement.r()
         if tok.isdigit():
             try:
-                return FieldElement.from_int(int(tok))
+                return _capped(FieldElement.from_int(int(tok)))
             except ValueError as exc:  # too many digits for int()
                 raise ExpressionError(str(exc)) from None
         raise ExpressionError("unexpected token %r" % tok)

@@ -3,25 +3,26 @@
 T(n) is the matrix of the sum of all nu(X_ij); its determinant as a function
 of l cuts out the reducibility locus, and its kernel K(n) at a specialized l
 is the intersection of the kernels of all the X_ij operators.  This module
-computes the determinant exactly (over Q(l, r) and Q(r) fraction-free, after
-clearing each row by the lcm of its denominators; over a cyclotomic quotient
-field by elimination in the field), extracts the locus by dividing out each
+computes the determinant exactly (over Q(l, r) and Q(r) fraction-free, on
+the rows cleared to integers; over a cyclotomic quotient field by
+elimination in the field), extracts the locus by dividing out each
 candidate l = +-r^k at which the numerator vanishes, computes each kernel
 in reduced echelon form by one elimination of T(n) with its columns reversed
-(over Q(r) fraction-free, on the rows cleared to Z[r]; over a cyclotomic
+(over Q(r) fraction-free, on the same cleared rows; over a cyclotomic
 quotient field in the field), and carries a catalogue of the explicit
-spanning vectors with a membership checker.  Over Q(r) the kernel, the
-membership check and rank_witness read one cached T(n) cleared to Z[r].
+spanning vectors with a membership checker.  Over Q(l, r) and Q(r) the
+determinant, the kernel, the membership check and rank_witness read one
+cached T(n) whose rows _clear_row cleared to integers, t_cleared.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 from . import linalg
-from .rings import FieldElement, Poly2, Specialization
+from .rings import FieldElement, Poly2, Specialization, _den_lcm, _ladder
 from .roots import RootIndex, num_roots
 from .xij import sum_matrix_direct
 
@@ -37,17 +38,41 @@ def t_matrix(n, spec):
     return sum_matrix_direct(n, spec)
 
 
+@functools.lru_cache(maxsize=8)
+def t_cleared(n, spec):
+    """(rows, scales) for T(n) over Q(l, r) or Q(r) (cached): row i of T(n)
+    times scales[i] is rows[i], a row of integer ladders, by _clear_row."""
+    return tuple(zip(*map(_clear_row, t_matrix(n, spec).entries)))
+
+
+def _clear_row(row):
+    """(ladders, scale): the row of FieldElements times scale as integer
+    ladders (rings._ladder's format), where scale is the lcm of the row's
+    distinct entry denominators times the lcm of the coefficient
+    denominators that this product leaves."""
+    dens = dict.fromkeys(e.den for e in row)
+    lcm = Poly2.one()
+    for d in dens:
+        lcm = lcm.divexact(lcm.gcd(d)) * d
+    for d in dens:
+        dens[d] = lcm.divexact(d)
+    cleared = [e.num * dens[e.den] for e in row]
+    k = _den_lcm(c for p in cleared for c in p.terms.values())
+    return [_ladder(p.scale(k).terms)[0] for p in cleared], lcm.scale(k)
+
+
 def _over_qr(spec):
-    """Whether T(n) at spec is read cleared to Z[r], as t_zr."""
+    """Whether T(n) at spec is read as rows over Z[r], as _t_read gives."""
     return not (spec.is_generic or spec.is_quotient)
 
 
-@functools.lru_cache(maxsize=8)
-def t_zr(n, spec):
-    """The rows of T(n) over Q(r) cleared to Z[r] by _zr_row (cached): the
-    one cleared matrix that kernel, the membership check and rank_witness
-    read."""
-    return [_zr_row(row) for row in t_matrix(n, spec).entries]
+def _t_read(n, spec):
+    """T(n) as kernel, _annihilates and rank_witness read it: over Q(r) the
+    rows of t_cleared, each ladder as its one rung in Z[r]; over the other
+    fields its entries."""
+    if not _over_qr(spec):
+        return t_matrix(n, spec).entries
+    return [[e[0] if e else e for e in row] for row in t_cleared(n, spec)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +82,12 @@ def t_zr(n, spec):
 def det_T(n, spec=None, guard=6):
     """Exact determinant of T(n) over the target field.
 
-    Over Q(l, r) and Q(r) each row is cleared by the lcm of its entry
-    denominators, a fraction-free elimination runs on the polynomial matrix,
-    and the result is reduced once against the product of the row lcms; over
-    a cyclotomic quotient field the elimination runs in the field.  The
-    guard refuses symbolic runs beyond n = guard (override by passing a
-    larger guard, or the LK_SIZE_GUARD environment variable on the command
-    line).
+    Over Q(l, r) and Q(r) a fraction-free elimination runs on the rows of
+    t_cleared, and the result is reduced once against the product of the
+    row scales; over a cyclotomic quotient field the elimination runs in
+    the field.  The guard refuses symbolic runs beyond n = guard (override
+    by passing a larger guard, or the LK_SIZE_GUARD environment variable on
+    the command line).
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -73,48 +97,11 @@ def det_T(n, spec=None, guard=6):
         raise SizeGuardError(
             "symbolic determinant for n=%d exceeds the guard (%d); "
             "raise LK_SIZE_GUARD to override" % (n, guard))
-    M = t_matrix(n, spec).entries
     if spec.is_quotient:
-        return linalg.det(M, spec.field())
-    return _det_cleared(M)
-
-
-def _clear_row(row):
-    """(cleared, lcm): the row of FieldElements times lcm, the lcm of its
-    distinct entry denominators, as Poly2s."""
-    dens = dict.fromkeys(e.den for e in row)
-    lcm = Poly2.one()
-    for d in dens:
-        lcm = lcm.divexact(lcm.gcd(d)) * d
-    for d in dens:
-        dens[d] = lcm.divexact(d)
-    return [e.num * dens[e.den] for e in row], lcm
-
-
-def _det_cleared(M):
-    """Exact determinant over Q(l, r) or Q(r): clear each row by the lcm of
-    its entry denominators, run the fraction-free elimination on the cleared
-    rows, and reduce the result once against the product of the row lcms."""
-    cleared = []
-    den = Poly2.one()
-    for row in M:
-        row, lcm = _clear_row(row)
-        cleared.append(row)
-        den = den * lcm
-    return FieldElement(linalg.bareiss_det_poly(cleared), den)
-
-
-def _zr_row(row):
-    """A row of T(n) over Q(r) cleared to Z[r], its entries as dense int
-    coefficient lists: by the lcm of its entry denominators, then, as in
-    bareiss_det_poly, by the lcm of the coefficient denominators left."""
-    out = []
-    for e in linalg.int_row(_clear_row(row)[0])[1]:
-        v = [0] * (1 + max((b for _, b in e), default=-1))
-        for (_, b), c in e.items():
-            v[b] = c
-        out.append(v)
-    return out
+        return linalg.det(t_matrix(n, spec).entries, spec.field())
+    rows, scales = t_cleared(n, spec)
+    return FieldElement(linalg.bareiss_det_poly(rows),
+                        prod(scales, start=Poly2.one()))
 
 
 @dataclass
@@ -234,12 +221,6 @@ class KernelReport:
         return out
 
 
-def _t_read(n, spec):
-    """T(n) as _annihilates reads it: its rows cleared to Z[r] (t_zr) over
-    Q(r), its entries over the other fields."""
-    return t_zr(n, spec) if _over_qr(spec) else t_matrix(n, spec).entries
-
-
 def _annihilates(T, spec, vector):
     """Whether T v = 0, for T = _t_read(n, spec).  Over Q(r) the nonzero
     entries of v are cleared to Z[r] like the rows, and T v = 0 exactly
@@ -248,7 +229,7 @@ def _annihilates(T, spec, vector):
     if not _over_qr(spec):
         return linalg.is_zero_vector(linalg.mat_vec(T, vector))
     nz = [j for j, e in enumerate(vector) if not e.is_zero()]
-    xs = _zr_row([vector[j] for j in nz])
+    xs = [x[0] for x in _clear_row([vector[j] for j in nz])[0]]
     for row in T:
         acc = {}
         for j, x in zip(nz, xs):
@@ -628,7 +609,7 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
         raise ValueError("size must be at least 1")
     if size > len(row_pool) or size > len(col_pool):
         raise ValueError("size exceeds the index pools")
-    M = t_zr(n, spec) if _over_qr(spec) else t_matrix(n, spec).entries
+    M = _t_read(n, spec)
     rows, cols = sorted(row_pool), sorted(col_pool)
     pivots = _pivot_columns(spec, linalg.submatrix(M, rows, cols))
     if len(pivots) < size:
@@ -640,8 +621,8 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
 
 def _pivot_columns(spec, M):
     """The pivot columns of M over the field of spec, in increasing order;
-    over Q(r) M is a slice of t_zr, whose rows are T(n)'s scaled by nonzero
-    constants, which moves no pivot row or column."""
+    over Q(r) M is a slice of _t_read, whose rows are T(n)'s scaled by
+    nonzero constants, which moves no pivot row or column."""
     if _over_qr(spec):
         return linalg.rref_zr(M)[1]
     return linalg.rref(M, spec.field())[1]

@@ -1,6 +1,7 @@
-"""The packed-integer Bareiss determinant against a Leibniz expansion, the
-Z[r] kernel against elimination over Q(r), the kernels' reduced echelon
-form, and the sparse-row operations against plain dense loops."""
+"""The packed-integer Bareiss determinant of integer ladders against a
+Leibniz expansion of the same integer polynomials, the Z[r] kernel against
+elimination over Q(r), the kernels' reduced echelon form, and the
+sparse-row operations against plain dense loops."""
 
 import functools
 import itertools
@@ -17,7 +18,7 @@ from lkbmw.linalg import (bareiss_det_poly, dense, identity, is_zero_vector,
                           mat_scale, mat_sub, mat_vec, rank, rref, rref_zr,
                           sparse)
 from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, Poly2, QuotientField,
-                         Specialization, cyclotomic)
+                         Specialization, _ladder, cyclotomic)
 
 L, R, ONE = Poly2.var_l(), Poly2.var_r(), Poly2.one()
 GEN = Specialization.generic().field()
@@ -37,13 +38,23 @@ def leibniz_det(M):
     return total
 
 
+def bareiss(M):
+    """bareiss_det_poly of a matrix of Poly2 with integer coefficients,
+    each entry passed as its integer ladder."""
+    rows = []
+    for row in M:
+        ladders = [_ladder(e.terms) for e in row]
+        assert all(den == 1 for _, den in ladders)
+        rows.append([ladder for ladder, _ in ladders])
+    return bareiss_det_poly(rows)
+
+
 def random_poly(rng, density=0.7):
-    """Up to four terms of l- and r-degree at most 3, with negative and
-    non-integer rational coefficients; zero with probability 1 - density."""
+    """Up to four terms of l- and r-degree at most 3, with negative integer
+    coefficients among them; zero with probability 1 - density."""
     if rng.random() > density:
         return Poly2.zero()
-    return Poly2({(rng.randint(0, 3), rng.randint(0, 3)):
-                  Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+    return Poly2({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-40, 40)
                   for _ in range(rng.randint(1, 4))})
 
 
@@ -56,7 +67,7 @@ def test_random_matrices_match_leibniz(seed):
     rng = random.Random(seed)
     n = 1 + seed % 5
     M = random_matrix(rng, n, density=0.4 + 0.6 * rng.random())
-    assert bareiss_det_poly(M) == leibniz_det(M)
+    assert bareiss(M) == leibniz_det(M)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -67,28 +78,28 @@ def test_singular_matrices(seed):
     M = random_matrix(rng, n)
     p, q = random_poly(rng, 1), random_poly(rng, 1)
     M[-1] = [p * a + q * b for a, b in zip(M[0], M[n - 2])]
-    assert bareiss_det_poly(M).is_zero()
+    assert bareiss(M).is_zero()
     assert leibniz_det(M).is_zero()
     M = random_matrix(rng, n)
     M[seed % n] = [Poly2.zero()] * n
-    assert bareiss_det_poly(M).is_zero()
+    assert bareiss(M).is_zero()
 
 
 def test_zero_pivots_force_row_swaps():
     z = Poly2.zero()
     # a zero in the first diagonal entry
     M = [[z, L], [R, ONE]]
-    assert bareiss_det_poly(M) == -(L * R)
+    assert bareiss(M) == -(L * R)
     # a pivot that becomes zero only after the first elimination step
     M = [[ONE, L, z], [ONE, L, R], [z, ONE, L + R]]
-    assert bareiss_det_poly(M) == leibniz_det(M) == -R
+    assert bareiss(M) == leibniz_det(M) == -R
     for seed in range(8):
         rng = random.Random(2000 + seed)
         n = 3 + seed % 3
         M = random_matrix(rng, n)
         M[0][0] = z
         M[1] = [M[0][j] + (M[2][j] if j else z) for j in range(n)]
-        assert bareiss_det_poly(M) == leibniz_det(M)
+        assert bareiss(M) == leibniz_det(M)
 
 
 def test_determinant_at_the_coefficient_bound():
@@ -97,15 +108,27 @@ def test_determinant_at_the_coefficient_bound():
     consts = [Poly2.const(c) for c in (-3, 5, 7)]
     M = [[consts[i] if i == j else Poly2.zero() for j in range(3)]
          for i in range(3)]
-    assert bareiss_det_poly(M) == Poly2.const(-105)
+    assert bareiss(M) == Poly2.const(-105)
     M = [[-(L * R ** 3) - R, Poly2.zero()], [Poly2.zero(), L + R.scale(2)]]
-    assert bareiss_det_poly(M) == leibniz_det(M)
+    assert bareiss(M) == leibniz_det(M)
 
 
 def test_empty_and_scalar_matrices():
-    assert bareiss_det_poly([]) == ONE
-    p = Poly2({(3, 2): Fraction(-5, 3), (0, 1): Fraction(1, 2)})
-    assert bareiss_det_poly([[p]]) == p
+    assert bareiss([]) == ONE
+    p = Poly2({(3, 2): -5, (1, 0): 3, (0, 1): 12})
+    assert bareiss([[p]]) == p
+    assert bareiss([[Poly2.zero()]]).is_zero()
+
+
+def test_zero_rungs_and_zero_rows():
+    """Ladders with empty rungs (no term of some l-degree below the top)
+    and rows of zero ladders."""
+    z = Poly2.zero()
+    M = [[L ** 3 + R, R ** 2, z], [ONE, L ** 2 * R ** 4 + ONE, L],
+         [z, L ** 3, R.scale(-6)]]
+    assert _ladder((L ** 3 + R).terms)[0] == [[0, 1], [], [], [1]]
+    assert bareiss(M) == leibniz_det(M)
+    assert bareiss([[z, z], [ONE, L]]).is_zero()
 
 
 # -- kernels over Z[r] --------------------------------------------------------

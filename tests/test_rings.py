@@ -14,7 +14,7 @@ from lkbmw.rings import (FE_ONE, FE_ZERO, ExactDivisionError,
                          ExpressionError, FieldElement, NonInvertibleError,
                          PoleError, Poly2, QuotientField,
                          Specialization, cyclotomic, fe_m, fe_x_of,
-                         is_semisimple_point, parse_r_expression, specialize)
+                         parse_r_expression, specialize)
 from lkbmw.linalg import bareiss_det_poly
 from lkbmw.spectral import det_T, t_matrix
 
@@ -308,14 +308,18 @@ def _from_sympy(p):
 @pytest.mark.parametrize("n,expected", [(4, "1"), (5, "r^2")])
 def test_gcd_of_cleared_det_numerator_matches_sympy(n, expected):
     """The one gcd that reduces det T(n): the numerator of the rows cleared
-    by their lcms against the lcms' product, a power of l times a
-    polynomial in r."""
+    to integers, by their lcms and then by the lcms of the coefficient
+    denominators left, against the product of these scales, a power of l
+    times a polynomial in r."""
     rows, den = [], _P1
     for row in t_matrix(n, Specialization.generic()).entries:
         lcm = _from_sympy(functools.reduce(
             sympy.lcm, (_to_sympy(e.den) for e in row)))
-        rows.append([e.num * lcm.divexact(e.den) for e in row])
-        den = den * lcm
+        cleared = [e.num * lcm.divexact(e.den) for e in row]
+        k = math.lcm(*(Fraction(c).denominator
+                       for p in cleared for c in p.terms.values()))
+        rows.append([rings._ladder(p.scale(k).terms)[0] for p in cleared])
+        den = den * lcm.scale(k)
     num = bareiss_det_poly(rows)
     g = num.gcd(den)
     sg, ref = _to_sympy(g), sympy.gcd(_to_sympy(num), _to_sympy(den))
@@ -677,24 +681,6 @@ def test_quotient_root_order(m):
     assert p * r == one
 
 
-# -- semisimple points --------------------------------------------------------
-
-def test_semisimple_generic():
-    assert is_semisimple_point(Specialization.generic(), 100) == (True, None)
-
-
-def test_semisimple_phi16():
-    s = Specialization.l_to_mod(-(R ** 3), 16)
-    assert is_semisimple_point(s, 8) == (False, 8)
-    assert is_semisimple_point(s, 7) == (True, None)
-
-
-def test_semisimple_phi12():
-    s = Specialization.l_to_mod(-(R ** 3), 12)
-    assert is_semisimple_point(s, 5) == (True, None)
-    assert is_semisimple_point(s, 6) == (False, 6)
-
-
 # -- the expression parser ----------------------------------------------------
 
 def test_parser_examples():
@@ -731,6 +717,26 @@ def test_parser_caps_exponents_and_degrees(monkeypatch):
     for bad in ("r^64*r", "1/r^64/r", "r^40 + 1/r^40",
                 "1/(r^40 + 1) + 1/(r^40 - 1)"):
         with pytest.raises(ExpressionError):
+            parse_r_expression(bad)
+
+
+def test_parser_caps_coefficient_bits():
+    cap = rings.MAX_COEFF_BITS
+    big = 2 ** (cap - 1)
+    assert parse_r_expression(str(big)) == FieldElement.from_int(big)
+    assert parse_r_expression("1/%d" % big) == 1 / FieldElement.from_int(big)
+    assert parse_r_expression("(2 + r)^64").num.degree_r() == 64
+    for bad in (str(2 ** cap), "1/%d" % 2 ** cap, "r/%d + 1" % 2 ** cap,
+                "(2^64)^64", "(2^64)^64/(2^64)^64", "(((2^64)^64)^64)"):
+        with pytest.raises(ExpressionError, match="more than %d bits" % cap):
+            parse_r_expression(bad)
+
+
+def test_parser_rejects_negative_powers_of_zero():
+    assert parse_r_expression("0^0") == FE_ONE
+    assert parse_r_expression("0^-0") == FE_ONE
+    for bad in ("0^-1", "(1-1)^-2", "(r-r)^-64"):
+        with pytest.raises(ExpressionError, match="division by zero"):
             parse_r_expression(bad)
 
 

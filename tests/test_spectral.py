@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from lkbmw import linalg
 from lkbmw.cli import main
-from lkbmw.rings import FieldElement, Poly2, Specialization
+from lkbmw.rings import FieldElement, Poly2, Specialization, _from_ll
 from lkbmw.roots import RootIndex
 from lkbmw.spectral import (ALL_CASES, CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
                             CASE_NM1_PLUS, CASE_ONE_DIM, SizeGuardError,
@@ -20,7 +21,7 @@ from lkbmw.spectral import (ALL_CASES, CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
                             check_membership, check_named,
                             det_Sn_formula_check, det_T, kernel,
                             named_vectors, rank_witness, reducibility_locus,
-                            submatrix_det, t_matrix, t_zr)
+                            submatrix_det, t_cleared, t_matrix)
 
 R = FieldElement.r()
 SPEC_R = Specialization.l_to(R)
@@ -380,6 +381,17 @@ def test_kernel_matches_sympy_nullspace():
 PINNED_L = ["1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)"]
 
 
+@pytest.mark.parametrize(
+    "n,l_expr",
+    [(n, l) for n in (4, 5, 6) for l in _kernel_points(n)]
+    + [(n, l) for n in (4, 5) for l in PINNED_L] + [(4, "generic")])
+def test_det_from_the_cleared_rows_matches_field_elimination(n, l_expr):
+    spec = (Specialization.generic() if l_expr == "generic"
+            else Specialization.l_to(l_expr))
+    assert det_T(n, spec) == linalg.det(t_matrix(n, spec).entries,
+                                        spec.field())
+
+
 def _oracle_annihilates(n, spec, v):
     """T(n) v = 0 by mat_vec over field elements."""
     return linalg.is_zero_vector(linalg.mat_vec(t_matrix(n, spec).entries, v))
@@ -414,7 +426,7 @@ def test_integer_membership_matches_the_field_oracle(n):
 def _one_row_witness(n, spec, i):
     """A vector that T(n) without row i annihilates; at a point where T(n)
     is invertible, T(n) sends it to a multiple of the i-th unit vector."""
-    rows = [row for k, row in enumerate(t_zr(n, spec)) if k != i]
+    rows = [row for k, row in enumerate(_t_read(n, spec)) if k != i]
     basis = linalg.kernel_basis_zr(rows)
     assert len(basis) == 1
     return basis[0]
@@ -484,20 +496,26 @@ def _clear_rows_under_test():
 
 
 def test_clear_row_matches_the_per_entry_fold():
-    """The same (cleared, lcm) as the fold, up to one rational constant.
-    The fold divides its lcm by the leading coefficient of the primitive
-    form of a denominator each time that denominator repeats, so the two
-    agree exactly when every denominator has integer coefficients."""
+    """(ladders, scale): the row times scale as integer ladders, and scale
+    the fold's lcm times one positive rational constant c.  The fold
+    divides its lcm by the leading coefficient of the primitive form of a
+    denominator each time that denominator repeats, so c is an integer, the
+    lcm of the coefficient denominators of the fold's cleared row, whenever
+    every denominator has integer coefficients."""
     for row in _clear_rows_under_test():
-        cleared, lcm = _clear_row(row)
+        ladders, scale = _clear_row(row)
         fold_cleared, fold_lcm = _fold_clear_row(row)
-        c = Fraction(lcm.leading_coeff(), fold_lcm.leading_coeff())
-        assert lcm == fold_lcm.scale(c)
+        c = Fraction(scale.leading_coeff(), fold_lcm.leading_coeff())
+        assert c > 0 and scale == fold_lcm.scale(c)
+        assert all(type(x) is int for e in ladders for v in e for x in v)
+        cleared = [Poly2(_from_ll(e)) for e in ladders]
         assert cleared == [p.scale(c) for p in fold_cleared]
         if all(q.denominator == 1 for e in row for q in e.den.terms.values()):
-            assert c == 1
+            assert c == math.lcm(*(Fraction(q).denominator
+                                   for p in fold_cleared
+                                   for q in p.terms.values()))
         for e, p in zip(row, cleared):
-            assert p * e.den == e.num * lcm
+            assert p * e.den == e.num * scale
 
 
 def _cyclotomic_points(n):
@@ -534,14 +552,17 @@ def test_named_vectors_elsewhere_build_no_coordinates(monkeypatch):
             assert named_vectors(n, case, at=at) == []
 
 
-def test_t_zr_is_bounded_and_shared():
-    assert t_zr.cache_info().maxsize == 8
+def test_t_cleared_is_bounded_and_shared():
+    """det_T, kernel, the membership check and rank_witness at one point
+    clear T(n) once."""
+    assert t_cleared.cache_info().maxsize == 8
     spec = Specialization.l_to("-r^3")
-    t_zr.cache_clear()
+    t_cleared.cache_clear()
+    assert det_T(5, spec).is_zero()
     rep = kernel(5, spec)
     assert rep.named_verdicts() and all(rep.named_verdicts().values())
     rank_witness(5, spec, 4)
-    info = t_zr.cache_info()
+    info = t_cleared.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
@@ -554,7 +575,7 @@ def test_reports_keep_their_matrix_past_the_caches(monkeypatch):
                for n in (4, 5, 6, 7) for l in _kernel_points(n)]
     before = [rep.named_verdicts() for rep in reports]
     t_matrix.cache_clear()
-    t_zr.cache_clear()
+    t_cleared.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("T(n) rebuilt")
