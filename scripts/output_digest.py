@@ -2,14 +2,29 @@
 """Print one sha256 per `lk` command of a fixed list, over the command's
 arguments, exit code, stdout and stderr.
 
-The list is every command of the benchmark's four workloads (read from
-perfbench/workloads.py), `kernel` and `det` at l = 1+r^2, 1/(r^2+1),
-(r^2+r+1)/(r-2) and 3/(2*r+5) for n = 4, 5, `verify` and `det` at n = 5
-with l = -r^3 modulo Phi_20, and `kernel` and `det` at n = 5 with the
-high-degree l = (r^64+1)/(r^63-3) modulo Phi_61.  Each command runs as its
-own `python -m lkbmw.cli` process on the `src/` of the tree this script sits
-in.  Two trees give the same output bytes for every command exactly when the
-script prints the same lines in both:
+The list holds:
+
+- every command of the benchmark's four workloads (read from
+  perfbench/workloads.py), `kernel` and `det` at l = 1+r^2, 1/(r^2+1),
+  (r^2+r+1)/(r-2) and 3/(2*r+5) for n = 4, 5, `verify` and `det` at n = 5
+  with l = -r^3 modulo Phi_20, and `kernel` and `det` at n = 5 with the
+  high-degree l = (r^64+1)/(r^63-3) modulo Phi_61;
+- every other command (`matrices`, `sum-matrix`, `locus`, `check-vectors`,
+  `rank-witness`, `specht`, `info`) at small n, and each with `--output
+  text`;
+- `--golden` against a matching fixture, a different fixture and a missing
+  file, named relative to the tree root so that no digest depends on where
+  the tree lives;
+- every error exit: n out of range, malformed or vanishing l, malformed or
+  refused moduli, malformed pools and sizes, missing and unknown options;
+- the group's `--help` and each command's `--help`;
+- `LK_SIZE_GUARD=4` and `LK_SIZE_GUARD=abc`, each set for its own runs
+  (every other run has LK_SIZE_GUARD unset).
+
+Each command runs as its own `python -m lkbmw.cli` process, with the tree
+root as working directory and COLUMNS=80, on the `src/` of the tree this
+script sits in.  Two trees give the same output bytes for every command
+exactly when the script prints the same lines in both:
 
     python3 scripts/output_digest.py > after.txt   # in each tree
     diff before.txt after.txt
@@ -29,8 +44,42 @@ from workloads import WORKLOADS  # noqa: E402
 
 EXTRA_POINTS = ["1+r^2", "1/(r^2+1)", "(r^2+r+1)/(r-2)", "3/(2*r+5)"]
 
+CASES = ["one-dim", "n-minus-1+", "n-minus-1-", "l=r", "l=-r3",
+         "root-of-unity"]
 
-def commands():
+FIXTURES = "src/lkbmw/fixtures/"
+
+# each command with the arguments of one cheap successful run
+SMALL = {
+    "matrices": ["--n", "3"],
+    "verify": ["--n", "3"],
+    "sum-matrix": ["--n", "3"],
+    "det": ["--n", "3"],
+    "locus": ["--n", "3"],
+    "kernel": ["--n", "3", "--l", "1/r^3"],
+    "check-vectors": ["--n", "4", "--case", "l=r"],
+    "rank-witness": ["--n", "4", "--l", "r", "--size", "2"],
+    "specht": ["--n", "5"],
+}
+
+# the commands that take --l and --modulus
+SPECIALIZED = ["matrices", "verify", "sum-matrix", "det", "kernel",
+               "rank-witness"]
+
+
+def _small(cmd, **change):
+    """SMALL[cmd] with the value of each named option replaced."""
+    args = list(SMALL[cmd])
+    for opt, value in change.items():
+        flag = "--" + opt
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+    return [cmd] + args
+
+
+def _workloads():
     ops = [args for name in sorted(WORKLOADS) for args in WORKLOADS[name]]
     for cmd in ("kernel", "det"):
         for n in (4, 5):
@@ -44,19 +93,140 @@ def commands():
     return ops
 
 
-def digest(args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _every_command():
+    ops = [[cmd] + args for cmd, args in SMALL.items()] + [["info"]]
+    ops += [["matrices", "--n", "3", "--l", "r"],
+            ["matrices", "--n", "3", "--l", "-r^3",
+             "--modulus", "cyclotomic:12"],
+            ["sum-matrix", "--n", "4", "--l", "r^2"],
+            ["sum-matrix", "--n", "3", "--l", "r",
+             "--modulus", "cyclotomic:12"],
+            ["verify", "--n", "4", "--l", "1/r^5"],
+            ["det", "--n", "4", "--l", "r", "--modulus", "cyclotomic:16"],
+            ["locus", "--n", "4"],
+            ["specht", "--n", "7", "--gap-check"],
+            ["specht", "--n", "8", "--gap-check"],
+            # found, none found (T(6) at l = r has rank 6), and pools
+            ["rank-witness", "--n", "5", "--l", "r", "--size", "5"],
+            ["rank-witness", "--n", "6", "--l", "r", "--size", "7"],
+            ["rank-witness", "--n", "4", "--l", "r", "--size", "2",
+             "--rows", "1,2,3", "--cols", "4,5,6"],
+            ["rank-witness", "--n", "4", "--l", "-r^3", "--size", "3",
+             "--modulus", "cyclotomic:16", "--rows", "2,4,6"]]
+    ops += [["check-vectors", "--n", "5", "--case", case] for case in CASES]
+    ops += [[cmd] + SMALL[cmd] + ["--output", "text"] for cmd in SMALL]
+    ops += [["specht", "--n", "8", "--gap-check", "--output", "text"],
+            ["rank-witness", "--n", "6", "--l", "r", "--size", "7",
+             "--output", "text"],
+            ["check-vectors", "--n", "5", "--case", "one-dim",
+             "--output", "text"]]
+    return ops
+
+
+def _golden():
+    ops = [["locus", "--n", "3", "--golden", FIXTURES + "locus-n3.json"],
+           ["matrices", "--n", "3", "--golden",
+            FIXTURES + "matrices-n3.json"],
+           ["sum-matrix", "--n", "3", "--golden",
+            FIXTURES + "sum-matrix-n3.json"],
+           ["verify", "--n", "3", "--golden", FIXTURES + "verify-n3.json"],
+           ["kernel", "--n", "3", "--l", "1/r^3", "--golden",
+            FIXTURES + "kernel-n3-invr3.json"],
+           ["specht", "--n", "7", "--gap-check", "--golden",
+            FIXTURES + "specht-n7.json"],
+           ["locus", "--n", "3", "--output", "text", "--golden",
+            FIXTURES + "locus-n3.json"]]
+    for cmd in SMALL:
+        ops.append([cmd] + SMALL[cmd] + ["--golden",
+                                         FIXTURES + "locus-n4.json"])
+        ops.append([cmd] + SMALL[cmd] + ["--golden",
+                                         FIXTURES + "no-such.json"])
+    return ops
+
+
+def _errors():
+    ops = []
+    for cmd in SMALL:
+        ops += [_small(cmd, n="13"), _small(cmd, n="100"),
+                _small(cmd, n="2"), _small(cmd, n="abc"),
+                [cmd] + SMALL[cmd] + ["--output", "yaml"]]
+    ops += [["specht", "--n", "0"], ["specht", "--n", "-1"],
+            ["det", "--n", "7"], ["kernel", "--n", "4"],
+            ["rank-witness", "--n", "4"],
+            ["rank-witness", "--n", "4", "--l", "r"],
+            ["check-vectors", "--n", "4"],
+            ["check-vectors", "--n", "4", "--case", "nope"],
+            ["check-vectors", "--n", "3", "--case", "l=r"],
+            ["locus", "--n", "3", "--l", "r"],
+            ["kernel", "--n", "4", "--l", "generic"],
+            ["kernel", "--n", "4", "--l", "zz"],
+            ["kernel", "--n", "3", "--l", "0^-1"],
+            ["det", "--n", "4", "--l", "(2^64)^64"],
+            ["kernel", "--n", "4", "--l", "(" * 100 + "r" + ")" * 100],
+            ["kernel", "--n", "4", "--l", "1/(r^2+1)",
+             "--modulus", "cyclotomic:4"],
+            ["rank-witness", "--n", "4", "--l", "r", "--size", "0"],
+            ["rank-witness", "--n", "4", "--l", "r", "--size", "-1"],
+            ["rank-witness", "--n", "4", "--l", "r", "--size", "1",
+             "--rows", "a,b"],
+            ["rank-witness", "--n", "4", "--l", "r", "--size", "1",
+             "--cols", "1,,2"],
+            ["rank-witness", "--n", "4", "--l", "r", "--size", "1",
+             "--rows", "0", "--cols", "0"],
+            ["rank-witness", "--n", "4", "--l", "r", "--size", "1",
+             "--rows", "99"],
+            ["no-such-command"]]
+    for cmd in SPECIALIZED:
+        ops += [_small(cmd, l="0"),
+                _small(cmd, l="r", modulus="foo"),
+                _small(cmd, l="generic", modulus="foo"),
+                _small(cmd, l="r", modulus="cyclotomic:x"),
+                _small(cmd, l="r", modulus="cyclotomic:65"),
+                _small(cmd, l="r", modulus="cyclotomic:2"),
+                _small(cmd, l="r", modulus="cyclotomic:0"),
+                _small(cmd, l="generic", modulus="cyclotomic:8"),
+                _small(cmd, l="r^2+1", modulus="cyclotomic:4")]
+    return ops
+
+
+def _help():
+    return [["--help"]] + [[cmd, "--help"] for cmd in list(SMALL) + ["info"]]
+
+
+def _size_guard():
+    return [({"LK_SIZE_GUARD": "4"}, args) for args in (
+                ["det", "--n", "5"], ["locus", "--n", "5"],
+                ["det", "--n", "4", "--l", "r"], ["locus", "--n", "4"])] + [
+            ({"LK_SIZE_GUARD": "abc"}, args) for args in (
+                ["det", "--n", "4"], ["locus", "--n", "3"],
+                ["det", "--n", "13"], ["det", "--n", "3", "--l", "zz"],
+                ["kernel", "--n", "3", "--l", "r"])]
+
+
+def commands():
+    """(environment overrides, arguments) for every command of the list."""
+    plain = (_workloads() + _every_command() + _golden() + _errors()
+             + _help())
+    return [({}, args) for args in plain] + _size_guard()
+
+
+def digest(env_set, args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    env.pop("LK_SIZE_GUARD", None)
+    env.update(env_set)
     proc = subprocess.run([sys.executable, "-m", "lkbmw.cli", *args],
                           capture_output=True, env=env, cwd=ROOT)
     blob = json.dumps([args, proc.returncode,
                        proc.stdout.decode("utf-8", "backslashreplace"),
-                       proc.stderr.decode("utf-8", "backslashreplace")])
+                       proc.stderr.decode("utf-8", "backslashreplace")]
+                      + ([env_set] if env_set else []))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def main():
-    for args in commands():
-        print(digest(args), " ".join(args), flush=True)
+    for env_set, args in commands():
+        label = ["%s=%s" % kv for kv in sorted(env_set.items())] + args
+        print(digest(env_set, args), " ".join(label), flush=True)
     return 0
 
 

@@ -1,5 +1,9 @@
 """Command-line interface: machine-readable access to every computation,
-with byte-stable JSON output and golden-file comparison."""
+with byte-stable JSON output and golden-file comparison.
+
+Every computing command is registered through _command, which owns what the
+commands share: their options, the cap on n, the parsing of --l and
+--modulus, the exit code of each error and the output."""
 
 from __future__ import annotations
 
@@ -12,8 +16,8 @@ import click
 
 from . import rings, spectral, specht as specht_mod
 from .rep import build_matrices, verify_relations
-from .rings import (ExpressionError, NonInvertibleError, PoleError,
-                    Specialization, cyclotomic, parse_r_expression)
+from .rings import (NonInvertibleError, PoleError, Specialization, cyclotomic,
+                    parse_r_expression)
 from .xij import sum_matrix_direct
 
 EXIT_OK = 0
@@ -25,6 +29,10 @@ EXIT_SIZE_GUARD = 4
 # would run for hours or exhaust memory
 MAX_N = 12
 
+# what parsing a spec or computing at it raises on input it cannot serve
+# (ExpressionError is a ValueError); each exits with EXIT_INPUT_ERROR
+INPUT_ERRORS = (ValueError, PoleError, NonInvertibleError, ZeroDivisionError)
+
 
 def _fail(code, kind, message):
     click.echo("error: %s: %s" % (kind, message), err=True)
@@ -32,28 +40,19 @@ def _fail(code, kind, message):
 
 
 def _parse_spec(l_expr, modulus):
-    if l_expr is None or l_expr.strip() == "generic":
+    """The Specialization named by --l and --modulus; raises one of
+    INPUT_ERRORS when there is none."""
+    if l_expr.strip() == "generic":
         if modulus:
-            _fail(EXIT_INPUT_ERROR, "parse",
-                  "a modulus requires a specialized l")
+            raise ValueError("a modulus requires a specialized l")
         return Specialization.generic()
-    try:
-        value = parse_r_expression(l_expr)
-    except ExpressionError as exc:
-        _fail(EXIT_INPUT_ERROR, "parse", str(exc))
+    value = parse_r_expression(l_expr)
     if modulus is None:
-        try:
-            return Specialization.l_to(value)
-        except ValueError as exc:
-            _fail(EXIT_INPUT_ERROR, "parse", str(exc))
+        return Specialization.l_to(value)
     if not modulus.startswith("cyclotomic:"):
-        _fail(EXIT_INPUT_ERROR, "parse",
-              "modulus must look like cyclotomic:M")
-    try:
-        m = int(modulus.split(":", 1)[1])
-        return Specialization.l_to_mod(value, cyclotomic(m))
-    except (ValueError, NonInvertibleError, PoleError) as exc:
-        _fail(EXIT_INPUT_ERROR, "parse", str(exc))
+        raise ValueError("modulus must look like cyclotomic:M")
+    return Specialization.l_to_mod(
+        value, cyclotomic(int(modulus.split(":", 1)[1])))
 
 
 def _guard():
@@ -65,24 +64,13 @@ def _guard():
               "LK_SIZE_GUARD must be an integer, not %r" % value)
 
 
-def _cap(n):
-    """Refuse n above MAX_N before any matrix is built."""
-    if n > MAX_N:
-        _fail(EXIT_SIZE_GUARD, "size-guard",
-              "n=%d exceeds the largest supported size %d" % (n, MAX_N))
-
-
 def _matrix_strings(M):
     return [[str(e) for e in row] for row in M]
 
 
-def _emit(payload, output, golden, text_lines=None):
+def _emit(payload, output, golden, text_lines):
     rendered = json.dumps(payload, indent=1, sort_keys=True)
-    if output == "text" and text_lines is not None:
-        body = "\n".join(text_lines)
-    else:
-        body = rendered
-    click.echo(body)
+    click.echo("\n".join(text_lines) if output == "text" else rendered)
     if golden:
         try:
             with open(golden, "r", encoding="utf-8") as fh:
@@ -109,192 +97,147 @@ def main():
     BMW algebra of type A."""
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--l", "l_expr", default="generic", show_default=True)
-@click.option("--modulus", default=None)
-@_common
-def matrices(n, l_expr, modulus, output, golden):
+def _command(name, *options, specialized=True, l_required=False):
+    """Register the decorated body as the computing command `name`.
+
+    The command takes --n, then (when specialized) --l and --modulus, then
+    the given click options, then --golden and --output.  It refuses n
+    above MAX_N before anything is built, parses the spec and calls
+    body(n, [spec,] **options), which returns (payload extras, text lines);
+    the payload also names the command, n and the spec.  SizeGuardError
+    exits with EXIT_SIZE_GUARD and INPUT_ERRORS with EXIT_INPUT_ERROR."""
+    shared = [click.option("--n", type=int, required=True)]
+    if specialized:
+        shared += [click.option("--l", "l_expr", required=True)
+                   if l_required else
+                   click.option("--l", "l_expr", default="generic",
+                                show_default=True),
+                   click.option("--modulus", default=None)]
+
+    def register(body):
+        def run(n, output, golden, l_expr=None, modulus=None, **opts):
+            if n > MAX_N:
+                _fail(EXIT_SIZE_GUARD, "size-guard",
+                      "n=%d exceeds the largest supported size %d"
+                      % (n, MAX_N))
+            payload = {"command": name, "n": n}
+            kind = "parse"
+            try:
+                if specialized:
+                    opts["spec"] = _parse_spec(l_expr, modulus)
+                    payload["spec"] = str(opts["spec"])
+                kind = "input"
+                extras, lines = body(n, **opts)
+            except spectral.SizeGuardError as exc:
+                _fail(EXIT_SIZE_GUARD, "size-guard", str(exc))
+            except INPUT_ERRORS as exc:
+                _fail(EXIT_INPUT_ERROR, kind, str(exc))
+            payload.update(extras)
+            _emit(payload, output, golden, lines)
+
+        run = _common(run)
+        for option in reversed(shared + list(options)):
+            run = option(run)
+        return main.command(name=name, help=body.__doc__)(run)
+
+    return register
+
+
+@_command("matrices")
+def matrices(n, spec):
     """The generator matrices G_i, E_i, G_i^{-1}."""
-    _cap(n)
-    spec = _parse_spec(l_expr, modulus)
-    try:
-        mats = build_matrices(n, spec)
-    except (ValueError, PoleError, ZeroDivisionError) as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
-    payload = {
-        "command": "matrices", "n": n, "spec": str(spec),
-        "G": [_matrix_strings(g) for g in mats.G],
-        "E": [_matrix_strings(e) for e in mats.E],
-        "Ginv": [_matrix_strings(g) for g in mats.Ginv],
-    }
-    _emit(payload, output, golden,
-          ["matrices n=%d spec=%s size=%d" % (n, spec, mats.size)])
+    mats = build_matrices(n, spec)
+    return ({"G": [_matrix_strings(g) for g in mats.G],
+             "E": [_matrix_strings(e) for e in mats.E],
+             "Ginv": [_matrix_strings(g) for g in mats.Ginv]},
+            ["matrices n=%d spec=%s size=%d" % (n, spec, mats.size)])
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--l", "l_expr", default="generic", show_default=True)
-@click.option("--modulus", default=None)
-@_common
-def verify(n, l_expr, modulus, output, golden):
+@_command("verify")
+def verify(n, spec):
     """Check every defining relation on the matrices."""
-    _cap(n)
-    spec = _parse_spec(l_expr, modulus)
-    try:
-        report = verify_relations(build_matrices(n, spec))
-    except (ValueError, PoleError, ZeroDivisionError) as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
-    payload = {
-        "command": "verify", "n": n, "spec": str(spec),
-        "all_pass": report.all_pass,
-        "checks": [[name, ok] for name, ok in report.checks],
-    }
-    lines = ["verify n=%d spec=%s: %s" % (
-        n, spec, "all pass" if report.all_pass else
-        "FAIL " + ", ".join(report.failures))]
-    _emit(payload, output, golden, lines)
+    report = verify_relations(build_matrices(n, spec))
+    return ({"all_pass": report.all_pass,
+             "checks": [[name, ok] for name, ok in report.checks]},
+            ["verify n=%d spec=%s: %s" % (
+                n, spec, "all pass" if report.all_pass else
+                "FAIL " + ", ".join(report.failures))])
 
 
-@main.command(name="sum-matrix")
-@click.option("--n", type=int, required=True)
-@click.option("--l", "l_expr", default="generic", show_default=True)
-@click.option("--modulus", default=None)
-@_common
-def sum_matrix_cmd(n, l_expr, modulus, output, golden):
+@_command("sum-matrix")
+def sum_matrix_cmd(n, spec):
     """The dense matrix T(n) of the summed conjugate operators."""
-    _cap(n)
-    spec = _parse_spec(l_expr, modulus)
-    try:
-        T = sum_matrix_direct(n, spec)
-    except (ValueError, PoleError, ZeroDivisionError) as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
-    payload = {"command": "sum-matrix", "n": n, "spec": str(spec),
-               "entries": _matrix_strings(T.entries)}
-    _emit(payload, output, golden,
-          ["sum-matrix n=%d spec=%s size=%d" % (n, spec, T.size)])
+    T = sum_matrix_direct(n, spec)
+    return ({"entries": _matrix_strings(T.entries)},
+            ["sum-matrix n=%d spec=%s size=%d" % (n, spec, T.size)])
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--l", "l_expr", default="generic", show_default=True)
-@click.option("--modulus", default=None)
-@_common
-def det(n, l_expr, modulus, output, golden):
+@_command("det")
+def det(n, spec):
     """det T(n) over the chosen field."""
-    _cap(n)
-    spec = _parse_spec(l_expr, modulus)
-    try:
-        value = spectral.det_T(n, spec, guard=_guard())
-    except spectral.SizeGuardError as exc:
-        _fail(EXIT_SIZE_GUARD, "size-guard", str(exc))
-    except (ValueError, PoleError, ZeroDivisionError) as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
-    payload = {"command": "det", "n": n, "spec": str(spec),
-               "det": str(value)}
-    _emit(payload, output, golden, ["det T(%d) = %s" % (n, value)])
+    value = spectral.det_T(n, spec, guard=_guard())
+    return {"det": str(value)}, ["det T(%d) = %s" % (n, value)]
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@_common
-def locus(n, output, golden):
+@_command("locus", specialized=False)
+def locus(n):
     """Reducibility locus of det T(n) in the parameter l."""
-    _cap(n)
-    try:
-        rep = spectral.reducibility_locus(n, guard=_guard())
-    except spectral.SizeGuardError as exc:
-        _fail(EXIT_SIZE_GUARD, "size-guard", str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
-    payload = {
-        "command": "locus", "n": n,
-        "factors": [{"eps": f.eps, "k": f.k, "label": f.label(),
-                     "multiplicity": f.multiplicity,
-                     "factor": str(f.factor)} for f in rep.factors],
-        "residual": str(rep.residual),
-        "residual_l_degree": rep.residual.num.degree_l(),
-        "l_denominator_power": rep.l_denominator_power,
-        "scalar": str(rep.scalar),
-    }
-    lines = ["locus n=%d:" % n] + [
-        "  (%s)^%d" % (f.label(), f.multiplicity) for f in rep.factors]
-    _emit(payload, output, golden, lines)
+    rep = spectral.reducibility_locus(n, guard=_guard())
+    return ({"factors": [{"eps": f.eps, "k": f.k, "label": f.label(),
+                          "multiplicity": f.multiplicity,
+                          "factor": str(f.factor)} for f in rep.factors],
+             "residual": str(rep.residual),
+             "residual_l_degree": rep.residual.num.degree_l(),
+             "l_denominator_power": rep.l_denominator_power,
+             "scalar": str(rep.scalar)},
+            ["locus n=%d:" % n] + ["  (%s)^%d" % (f.label(), f.multiplicity)
+                                   for f in rep.factors])
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--l", "l_expr", required=True)
-@click.option("--modulus", default=None)
-@_common
-def kernel(n, l_expr, modulus, output, golden):
+@_command("kernel", l_required=True)
+def kernel(n, spec):
     """Basis and dimension of K(n) = Ker T(n) at a specialized l."""
-    _cap(n)
-    spec = _parse_spec(l_expr, modulus)
-    try:
-        rep = spectral.kernel(n, spec)
-    except (ValueError, PoleError, NonInvertibleError,
-            ZeroDivisionError) as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
-    payload = {"command": "kernel", "n": n, "spec": str(spec),
-               "dim": rep.dim,
-               "basis": [[str(e) for e in v] for v in rep.basis],
-               "named_verdicts": rep.named_verdicts()}
-    _emit(payload, output, golden,
-          ["kernel n=%d spec=%s dim=%d" % (n, spec, rep.dim)])
+    rep = spectral.kernel(n, spec)
+    return ({"dim": rep.dim,
+             "basis": [[str(e) for e in v] for v in rep.basis],
+             "named_verdicts": rep.named_verdicts()},
+            ["kernel n=%d spec=%s dim=%d" % (n, spec, rep.dim)])
 
 
-@main.command(name="check-vectors")
-@click.option("--n", type=int, required=True)
-@click.option("--case", "case", required=True,
-              type=click.Choice(list(spectral.ALL_CASES)))
-@_common
-def check_vectors(n, case, output, golden):
+@_command("check-vectors",
+          click.option("--case", "case", required=True,
+                       type=click.Choice(list(spectral.ALL_CASES))),
+          specialized=False)
+def check_vectors(n, case):
     """Membership verdicts for the catalogued spanning vectors."""
-    _cap(n)
-    try:
-        verdicts = spectral.check_named(n, case)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
-    payload = {"command": "check-vectors", "n": n, "case": case,
-               "verdicts": verdicts,
-               "all_pass": all(verdicts.values())}
-    lines = ["check-vectors n=%d case=%s: %s" % (
-        n, case, "all pass" if all(verdicts.values()) else "FAIL")]
-    _emit(payload, output, golden, lines)
+    verdicts = spectral.check_named(n, case)
+    ok = all(verdicts.values())
+    return ({"case": case, "verdicts": verdicts, "all_pass": ok},
+            ["check-vectors n=%d case=%s: %s" % (
+                n, case, "all pass" if ok else "FAIL")])
 
 
-@main.command(name="rank-witness")
-@click.option("--n", type=int, required=True)
-@click.option("--l", "l_expr", required=True)
-@click.option("--modulus", default=None)
-@click.option("--size", type=int, required=True)
-@click.option("--rows", default=None, help="comma-separated 1-based pool")
-@click.option("--cols", default=None, help="comma-separated 1-based pool")
-@_common
-def rank_witness(n, l_expr, modulus, size, rows, cols, output, golden):
+@_command("rank-witness",
+          click.option("--size", type=int, required=True),
+          click.option("--rows", default=None,
+                       help="comma-separated 1-based pool"),
+          click.option("--cols", default=None,
+                       help="comma-separated 1-based pool"),
+          l_required=True)
+def rank_witness(n, spec, size, rows, cols):
     """First invertible size x size submatrix of T(n), in lexicographic
     order with the columns outermost."""
-    _cap(n)
-    spec = _parse_spec(l_expr, modulus)
-    try:
-        row_pool = [int(t) for t in rows.split(",")] if rows else None
-        col_pool = [int(t) for t in cols.split(",")] if cols else None
-        hit = spectral.rank_witness(n, spec, size, row_pool, col_pool)
-    except (ValueError, PoleError, ZeroDivisionError) as exc:
-        _fail(EXIT_INPUT_ERROR, "input", str(exc))
+    row_pool = [int(t) for t in rows.split(",")] if rows else None
+    col_pool = [int(t) for t in cols.split(",")] if cols else None
+    hit = spectral.rank_witness(n, spec, size, row_pool, col_pool)
     if hit is None:
-        payload = {"command": "rank-witness", "n": n, "spec": str(spec),
-                   "size": size, "found": False}
-        _emit(payload, output, golden, ["rank-witness: none found"])
+        return {"size": size, "found": False}, ["rank-witness: none found"]
     wrows, wcols = hit
     d = spectral.submatrix_det(n, spec, wrows, wcols)
-    payload = {"command": "rank-witness", "n": n, "spec": str(spec),
-               "size": size, "found": True, "rows": wrows, "cols": wcols,
-               "det": str(d)}
-    _emit(payload, output, golden,
-          ["rank-witness n=%d size=%d rows=%s cols=%s det=%s"
-           % (n, size, wrows, wcols, d)])
+    return ({"size": size, "found": True, "rows": wrows, "cols": wcols,
+             "det": str(d)},
+            ["rank-witness n=%d size=%d rows=%s cols=%s det=%s"
+             % (n, size, wrows, wcols, d)])
 
 
 @main.command()

@@ -108,6 +108,27 @@ def is_zero_vector(v):
     return all(e.is_zero() for e in v)
 
 
+def _pivot_row(A, col, start, weight):
+    """The row i >= start whose entry in col has the smallest weight, the
+    first of them on a tie; None when weight gives None (a zero entry) for
+    every such row."""
+    piv = best = None
+    for i in range(start, len(A)):
+        c = weight(A[i][col])
+        if c is not None and (best is None or c < best):
+            best, piv = c, i
+    return piv
+
+
+def _field_weight(e):
+    return None if e.is_zero() else e.complexity()
+
+
+def _zr_weight(e):
+    """The term count of a dense Z[r] coefficient list."""
+    return len(e) - e.count(0) if e else None
+
+
 def det(M, ctx):
     """Determinant by Gaussian elimination over the field (exact division)."""
     n = len(M)
@@ -116,13 +137,7 @@ def det(M, ctx):
     A = [list(row) for row in M]
     detval = ctx.one()
     for k in range(n):
-        piv = None
-        best = None
-        for i in range(k, n):
-            if not A[i][k].is_zero():
-                c = A[i][k].complexity()
-                if best is None or c < best:
-                    best, piv = c, i
+        piv = _pivot_row(A, k, k, _field_weight)
         if piv is None:
             return ctx.zero()
         if piv != k:
@@ -158,13 +173,7 @@ def rref(M, ctx):
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = None
-        best = None
-        for i in range(rank, nrows):
-            if not A[i][col].is_zero():
-                c = A[i][col].complexity()
-                if best is None or c < best:
-                    best, piv = c, i
+        piv = _pivot_row(A, col, rank, _field_weight)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
@@ -234,14 +243,7 @@ def rref_zr(M):
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = None
-        best = None
-        for i in range(rank, nrows):
-            e = A[i][col]
-            if e:
-                c = len(e) - e.count(0)
-                if best is None or c < best:
-                    best, piv = c, i
+        piv = _pivot_row(A, col, rank, _zr_weight)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]

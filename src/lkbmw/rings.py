@@ -314,6 +314,18 @@ def _d_gcd(a, b):
     return {k: v // c for k, v in g.items()}
 
 
+def _power(base, k, one):
+    """base^k for an integer k >= 0, by square-and-multiply."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Poly2
 # ---------------------------------------------------------------------------
@@ -392,14 +404,7 @@ class Poly2:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly2.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Poly2.one())
 
     def divexact(self, other):
         return Poly2(_d_divexact(self.terms, other.terms))
@@ -578,14 +583,7 @@ class FieldElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = FE_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, FE_ONE)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)
@@ -901,14 +899,7 @@ class CycElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, self.field.one())
 
     def __eq__(self, other):
         return (isinstance(other, CycElement)

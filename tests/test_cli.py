@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from lkbmw import rings
 from lkbmw.cli import main
+from lkbmw.spectral import SizeGuardError
 
 FIXTURES = (pathlib.Path(__file__).resolve().parent.parent
             / "src" / "lkbmw" / "fixtures")
@@ -200,14 +201,22 @@ def test_exit_code_size_guard(runner, monkeypatch):
     assert result.exit_code == 4
 
 
-@pytest.mark.parametrize("n", ["13", "100"])
-@pytest.mark.parametrize("args", [
+# every command that computes at some n, with its other arguments
+CAPPED = [
     ["kernel", "--l", "r"], ["matrices"], ["sum-matrix"], ["verify"],
     ["check-vectors", "--case", "l=r"],
     ["rank-witness", "--l", "r", "--size", "1"],
     ["det", "--l", "r^2"], ["locus"],
-])
+]
+
+
+@pytest.mark.parametrize("n", ["13", "100"])
+@pytest.mark.parametrize("args", CAPPED)
 def test_exit_code_size_cap(runner, monkeypatch, args, n):
+    # a new command cannot skip the cap unnoticed
+    assert ({a[0] for a in CAPPED}
+            == set(main.commands) - {"specht", "info"})
+
     def refuse(*args):
         raise AssertionError("a matrix was built")
 
@@ -218,6 +227,41 @@ def test_exit_code_size_cap(runner, monkeypatch, args, n):
     result = runner.invoke(main, args[:1] + ["--n", n] + args[1:])
     assert result.exit_code == 4, result.output
     assert "error: size-guard:" in result.output
+
+
+# each computing command at a small n, and the function it computes with
+COMPUTED_BY = [
+    (["matrices", "--n", "3"], "lkbmw.cli.build_matrices"),
+    (["verify", "--n", "3"], "lkbmw.cli.verify_relations"),
+    (["sum-matrix", "--n", "3"], "lkbmw.cli.sum_matrix_direct"),
+    (["det", "--n", "3"], "lkbmw.spectral.det_T"),
+    (["locus", "--n", "3"], "lkbmw.spectral.reducibility_locus"),
+    (["kernel", "--n", "3", "--l", "r"], "lkbmw.spectral.kernel"),
+    (["check-vectors", "--n", "4", "--case", "l=r"],
+     "lkbmw.spectral.check_named"),
+    (["rank-witness", "--n", "4", "--l", "r", "--size", "1"],
+     "lkbmw.spectral.rank_witness"),
+]
+
+
+@pytest.mark.parametrize("error,code,kind", [
+    (ValueError, 3, "input"), (rings.PoleError, 3, "input"),
+    (rings.NonInvertibleError, 3, "input"), (ZeroDivisionError, 3, "input"),
+    (SizeGuardError, 4, "size-guard"),
+])
+@pytest.mark.parametrize("args,target", COMPUTED_BY)
+def test_every_command_maps_every_error(runner, monkeypatch, args, target,
+                                        error, code, kind):
+    assert ({a[0] for a, _ in COMPUTED_BY}
+            == set(main.commands) - {"specht", "info"})
+
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(target, fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert "error: %s: boom" % kind in result.output
 
 
 def test_malformed_size_guard_is_an_input_error(runner, monkeypatch):
