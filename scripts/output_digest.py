@@ -7,16 +7,19 @@ The list holds:
 - every command of the benchmark's four workloads (read from
   perfbench/workloads.py), `kernel` and `det` at l = 1+r^2, 1/(r^2+1),
   (r^2+r+1)/(r-2) and 3/(2*r+5) for n = 4, 5, `verify` and `det` at n = 5
-  with l = -r^3 modulo Phi_20, and `kernel` and `det` at n = 5 with the
+  with l = -r^3 modulo Phi_20, `kernel` at l = -r^3 for n = 3 modulo
+  Phi_12 and n = 4 modulo Phi_16, and `kernel` and `det` at n = 5 with the
   high-degree l = (r^64+1)/(r^63-3) modulo Phi_61;
-- every other command (`matrices`, `sum-matrix`, `locus`, `check-vectors`,
-  `rank-witness`, `specht`, `info`) at small n, and each with `--output
-  text`;
+- every other command (`matrices`, `sum-matrix`, `locus`, `rank-witness`,
+  `specht`, `info`) at small n, and each with `--output text`;
+- `check-vectors` for every case at n = 3..8, so every catalogued vector's
+  verdict;
 - `--golden` against a matching fixture, a different fixture and a missing
   file, named relative to the tree root so that no digest depends on where
   the tree lives;
 - every error exit: n out of range, malformed or vanishing l, malformed or
-  refused moduli, malformed pools and sizes, missing and unknown options;
+  refused moduli (Phi_1 and Phi_2 force r^2 = 1), malformed pools and
+  sizes, missing and unknown options;
 - the group's `--help` and each command's `--help`;
 - `LK_SIZE_GUARD=4` and `LK_SIZE_GUARD=abc`, each set for its own runs
   (every other run has LK_SIZE_GUARD unset).
@@ -87,6 +90,9 @@ def _workloads():
     for cmd in ("verify", "det"):
         ops.append([cmd, "--n", "5", "--l", "-r^3",
                     "--modulus", "cyclotomic:20"])
+    for n, m in ((3, 12), (4, 16)):
+        ops.append(["kernel", "--n", str(n), "--l", "-r^3",
+                    "--modulus", "cyclotomic:%d" % m])
     for cmd in ("kernel", "det"):
         ops.append([cmd, "--n", "5", "--l", "(r^64+1)/(r^63-3)",
                     "--modulus", "cyclotomic:61"])
@@ -113,7 +119,8 @@ def _every_command():
              "--rows", "1,2,3", "--cols", "4,5,6"],
             ["rank-witness", "--n", "4", "--l", "-r^3", "--size", "3",
              "--modulus", "cyclotomic:16", "--rows", "2,4,6"]]
-    ops += [["check-vectors", "--n", "5", "--case", case] for case in CASES]
+    ops += [["check-vectors", "--n", str(n), "--case", case]
+            for n in range(3, 9) for case in CASES]
     ops += [[cmd] + SMALL[cmd] + ["--output", "text"] for cmd in SMALL]
     ops += [["specht", "--n", "8", "--gap-check", "--output", "text"],
             ["rank-witness", "--n", "6", "--l", "r", "--size", "7",
@@ -175,6 +182,7 @@ def _errors():
              "--rows", "0", "--cols", "0"],
             ["rank-witness", "--n", "4", "--l", "r", "--size", "1",
              "--rows", "99"],
+            _small("rank-witness", n="0"), _small("rank-witness", n="1"),
             ["no-such-command"]]
     for cmd in SPECIALIZED:
         ops += [_small(cmd, l="0"),
@@ -182,6 +190,7 @@ def _errors():
                 _small(cmd, l="generic", modulus="foo"),
                 _small(cmd, l="r", modulus="cyclotomic:x"),
                 _small(cmd, l="r", modulus="cyclotomic:65"),
+                _small(cmd, l="r", modulus="cyclotomic:1"),
                 _small(cmd, l="r", modulus="cyclotomic:2"),
                 _small(cmd, l="r", modulus="cyclotomic:0"),
                 _small(cmd, l="generic", modulus="cyclotomic:8"),

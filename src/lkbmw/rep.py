@@ -112,13 +112,6 @@ def _columns_to_matrix(n, columns, ctx):
     return M
 
 
-def require_nonzero_m(ctx):
-    """The construction needs m = 1/r - r invertible, i.e. r^2 != 1."""
-    if ctx.m().is_zero():
-        raise ValueError(
-            "the specialization forces r^2 = 1, which annihilates m")
-
-
 def build_matrices(n, spec=None):
     """Assemble G_i, E_i and G_i^{-1} column-by-column from the case
     formulas, over the target field of the specialization."""
@@ -127,7 +120,6 @@ def build_matrices(n, spec=None):
     if spec is None:
         spec = Specialization.generic()
     ctx = spec.field()
-    require_nonzero_m(ctx)
     roots = all_roots(n)
     G, E, Ginv = [], [], []
     for i in range(1, n):
@@ -213,7 +205,6 @@ def build_matrices_recursive(n, spec=None):
     if spec is None:
         spec = Specialization.generic()
     ctx = spec.field()
-    require_nonzero_m(ctx)
     size = num_roots(n)
     zero = ctx.zero()
     m = ctx.m()

@@ -1001,6 +1001,9 @@ class Specialization:
                                      fld.embed(l_value))
         if self._ctx.l().is_zero():
             raise ValueError("l must specialize to a nonzero value")
+        if self._ctx.m().is_zero():
+            raise ValueError(
+                "the specialization forces r^2 = 1, which annihilates m")
 
     @staticmethod
     def generic():

@@ -305,7 +305,14 @@ def _w(i, j, n):
 
 
 def _coords(n, ctx, pairs):
-    return {_w(i, j, n): c for (i, j), c in pairs.items()}
+    """A vector of _TABLE: w_ij has the sum of c r^k, c = +-1, over the
+    Laurent map {k: c} of pairs[(i, j)]."""
+    out = {}
+    for (i, j), terms in pairs.items():
+        parts = [ctx.r_pow(k) if c > 0 else -ctx.r_pow(k)
+                 for k, c in terms.items()]
+        out[_w(i, j, n)] = sum(parts[1:], parts[0])
+    return out
 
 
 def geometric_coords(n, ctx, lam_power=1):
@@ -322,7 +329,7 @@ def geometric_coords(n, ctx, lam_power=1):
     return out
 
 
-def row_span_coords(n, i, ctx, eps):
+def row_span_coords(n, ctx, i, eps):
     """The i-th spanning vector of the (n-1)-dimensional invariant subspace
     at l = eps/r^{n-3}."""
     rinv = ctx.r_pow(-1)
@@ -340,7 +347,7 @@ def row_span_coords(n, i, ctx, eps):
     return out
 
 
-def tower_coords(n, t, k, ctx):
+def tower_coords(n, ctx, t, k):
     """The k-th new spanning vector of K(t) at l = r, read inside the
     n-strand space (4 <= t <= n, 1 <= k <= t-2)."""
     rinv = ctx.r_pow(-1)
@@ -355,218 +362,136 @@ def tower_coords(n, t, k, ctx):
     return out
 
 
-def ladder_coords(n, k, ctx):
+def ladder_coords(n, ctx, k):
     """w_{k+1,n} - r w_{k,n} + r^{n-k} w_{k,k+1}, in the kernel at l=-r^3."""
     return {_w(k + 1, n, n): ctx.one(),
             _w(k, n, n): -ctx.r_pow(1),
             _w(k, k + 1, n): ctx.r_pow(n - k)}
 
 
-def _spec_one_dim(n):
-    return Specialization.l_to(_R ** -(2 * n - 3))
+# the vectors of a single size, (case, n) -> [(name, {(i, j): {k: c}})],
+# where the coordinate of w_ij is the sum of c r^k; the key (case, None)
+# holds the vectors of every n >= 5, each named name(n)
+_KV3_UNIT = [("kv3-unit", {(1, 2): {0: 1}, (2, 3): {0: -1}})]
+_SHORT_R = {(1, 2): {2: 1}, (1, 3): {1: -1}, (3, 4): {0: 1}, (2, 4): {1: -1}}
+_SHORT_NEGR3 = [("short-negr3",
+                 {(2, 3): {1: -1}, (3, 4): {-1: -1}, (2, 4): {0: 1}})]
+_TABLE = {
+    (CASE_ONE_DIM, 3): [
+        ("kv3-invr3", {(1, 2): {-1: 1}, (2, 3): {1: 1}, (1, 3): {0: 1}})],
+    (CASE_ONE_DIM, 4): [
+        ("kv4-invr5", {(1, 2): {-2: 1}, (2, 3): {0: 1}, (1, 3): {-1: 1},
+                       (3, 4): {2: 1}, (2, 4): {1: 1}, (1, 4): {0: 1}})],
+    (CASE_ONE_DIM, 5): [
+        ("kv5-invr7", {(1, 2): {-3: 1}, (2, 3): {-1: 1}, (1, 3): {-2: 1},
+                       (3, 4): {1: 1}, (2, 4): {0: 1}, (1, 4): {-1: 1},
+                       (4, 5): {3: 1}, (3, 5): {2: 1}, (2, 5): {1: 1},
+                       (1, 5): {0: 1}})],
+    # l = +-1: the difference of the two shortest tangles
+    (CASE_NM1_PLUS, 3): _KV3_UNIT,
+    (CASE_NM1_MINUS, 3): _KV3_UNIT,
+    (CASE_NM1_PLUS, 4): [("kv4-invr", {(2, 3): {0: -1}, (1, 4): {0: 1}})],
+    (CASE_NM1_MINUS, 4): [
+        ("kv4-neginvr", {(1, 2): {0: 1}, (2, 3): {0: -1}, (3, 4): {0: 1},
+                         (1, 4): {0: 1}})],
+    (CASE_NM1_PLUS, 5): [
+        ("kv5-invr2", {(1, 2): {2: 1}, (2, 3): {2: -1, -1: 1},
+                       (1, 3): {1: -1}, (3, 4): {-1: -1}, (2, 4): {0: 1},
+                       (3, 5): {0: -1}, (2, 5): {1: 1}})],
+    (CASE_NM1_MINUS, 5): [
+        ("kv5-neginvr2", {(1, 2): {2: -1}, (2, 3): {2: 1, -1: 1},
+                          (1, 3): {1: 1}, (3, 4): {-1: -1}, (2, 4): {0: 1},
+                          (3, 5): {0: -1}, (2, 5): {1: 1}})],
+    (CASE_L_R, None): [("short-r", _SHORT_R)],
+    (CASE_L_R, 4): [
+        ("kv4-r", {(2, 3): {1: -1}, (1, 3): {2: 1}, (2, 4): {0: 1},
+                   (1, 4): {1: -1}})],
+    # kv5-r is short-r(5) again; hk5-*: the irreducible 5-dimensional
+    # invariant subspace at l = r
+    (CASE_L_R, 5): [
+        ("kv5-r", _SHORT_R),
+        ("hk5-1", {(3, 4): {-1: -1}, (2, 4): {0: 1}, (1, 2): {1: -1},
+                   (1, 3): {0: 1}}),
+        ("hk5-2", {(3, 5): {-1: -1}, (2, 5): {0: 1}, (1, 2): {2: -1},
+                   (1, 3): {1: 1}}),
+        ("hk5-3", {(1, 3): {2: -1}, (1, 4): {1: 1}, (4, 5): {-1: -1},
+                   (3, 5): {0: 1}}),
+        ("hk5-4", {(2, 3): {0: 1}, (2, 4): {-1: -1}, (1, 4): {0: 1},
+                   (1, 3): {1: -1}}),
+        ("hk5-5", {(2, 3): {1: 1}, (1, 3): {2: -1}, (2, 5): {-1: -1},
+                   (1, 5): {0: 1}})],
+    (CASE_L_NEG_R3, None): _SHORT_NEGR3,
+    (CASE_ROOT_OF_UNITY, None): _SHORT_NEGR3,
+    (CASE_L_NEG_R3, 3): [
+        ("kv3-negr3", {(1, 2): {1: -1}, (2, 3): {-1: -1}, (1, 3): {0: 1}})],
+    # triple*: the irreducible 3-dimensional invariant subspace at l = -r^3
+    (CASE_L_NEG_R3, 4): [
+        ("kv4-negr3", {(1, 2): {2: -1}, (2, 3): {0: -1}, (3, 4): {-2: -1},
+                       (1, 4): {0: 1}}),
+        ("triple1(4)", {(2, 3): {1: 1}, (1, 3): {0: 1},
+                        (3, 4): {-1: 1, -3: 1}, (2, 4): {0: -1},
+                        (1, 4): {-1: -1}}),
+        ("triple2(4)", {(1, 2): {1: -1}, (1, 3): {2: -1}, (3, 4): {-1: -1},
+                        (2, 4): {-2: -1}, (1, 4): {1: 1, -1: 1}}),
+        ("triple3(4)", {(1, 2): {1: 1, 3: 1}, (2, 3): {-1: 1},
+                        (1, 3): {0: -1}, (2, 4): {0: 1}, (1, 4): {1: -1}})],
+}
 
 
-def _spec_nm1(n, eps):
-    val = _R ** -(n - 3)
-    return Specialization.l_to(val if eps > 0 else -val)
-
-
-_SPEC_L_R = Specialization.l_to(_R)
-_SPEC_L_NEG_R3 = Specialization.l_to(-(_R ** 3))
+@functools.lru_cache(maxsize=64)
+def _spec(eps, k, modulus=None):
+    """l = eps r^k, over Q(r) or modulo Phi_modulus (cached)."""
+    l = _R ** k if eps > 0 else -(_R ** k)
+    if modulus is None:
+        return Specialization.l_to(l)
+    return Specialization.l_to_mod(l, modulus)
 
 
 def named_vectors(n, case, at=None):
     """The explicit kernel vectors known for the given case and size; with
-    `at`, only those at that specialization, in the same order, and a case
-    with none there returns before any coordinates are built."""
+    `at`, only those at that specialization, in the same order, and no
+    other vector's coordinates are built."""
     if case not in ALL_CASES:
         raise ValueError("unknown case %r; one of %s" % (case, ALL_CASES))
     if n < 3:
         raise ValueError("n must be at least 3")
     out = []
 
-    def elsewhere(*specs):
-        return at is not None and at not in specs
+    def emit(name, spec, builder, *args):
+        if at is None or at == spec:
+            out.append(NamedVector(name=name, n=n, case=case, spec=spec,
+                                   coords=builder(n, spec.field(), *args)))
 
-    def emit(name, spec, coords):
-        if not elsewhere(spec):
-            out.append(NamedVector(name=name, n=n, case=case,
-                                   spec=spec, coords=coords))
-
-    if case == CASE_ONE_DIM:
-        if n == 3:
-            s_pos = Specialization.l_to(_R ** -3)
-            s_neg = Specialization.l_to(-(_R ** 3))
-            if elsewhere(s_pos, s_neg):
-                return out
-            ctx = s_pos.field()
-            emit("geom(3)", s_pos, geometric_coords(3, ctx, 1))
-            ctx = s_neg.field()
-            emit("geom-alt(3)", s_neg, geometric_coords(3, ctx, -1))
-            ctx = s_pos.field()
-            emit("kv3-invr3", s_pos, _coords(3, ctx, {
-                (1, 2): ctx.r_pow(-1), (2, 3): ctx.r_pow(1),
-                (1, 3): ctx.one()}))
-        elif n >= 4:
-            spec = _spec_one_dim(n)
-            if elsewhere(spec):
-                return out
-            ctx = spec.field()
-            emit("geom(%d)" % n, spec, geometric_coords(n, ctx, 1))
-            if n == 4:
-                emit("kv4-invr5", spec, _coords(4, ctx, {
-                    (1, 2): ctx.r_pow(-2), (2, 3): ctx.one(),
-                    (1, 3): ctx.r_pow(-1), (3, 4): ctx.r_pow(2),
-                    (2, 4): ctx.r_pow(1), (1, 4): ctx.one()}))
-            if n == 5:
-                emit("kv5-invr7", spec, _coords(5, ctx, {
-                    (1, 2): ctx.r_pow(-3), (2, 3): ctx.r_pow(-1),
-                    (1, 3): ctx.r_pow(-2), (3, 4): ctx.r_pow(1),
-                    (2, 4): ctx.one(), (1, 4): ctx.r_pow(-1),
-                    (4, 5): ctx.r_pow(3), (3, 5): ctx.r_pow(2),
-                    (2, 5): ctx.r_pow(1), (1, 5): ctx.one()}))
+    # the quotient field is built only when `at` can be one
+    if case == CASE_ROOT_OF_UNITY and at is not None and not at.is_quotient:
         return out
-
+    eps, k = {CASE_ONE_DIM: (1, 3 - 2 * n), CASE_NM1_PLUS: (1, 3 - n),
+              CASE_NM1_MINUS: (-1, 3 - n), CASE_L_R: (1, 1)
+              }.get(case, (-1, 3))
+    # root-of-unity: r a primitive 4n-th root of unity (so l = -r^3 also
+    # equals 1/r^{2n-3}); for n = 3 the 12th roots
+    spec = _spec(eps, k, (12 if n == 3 else 4 * n)
+                 if case == CASE_ROOT_OF_UNITY else None)
+    if case in (CASE_ONE_DIM, CASE_ROOT_OF_UNITY):
+        emit("geom(%d)" % n, spec, geometric_coords, 1)
+        if n == 3:
+            alt = spec if case == CASE_ROOT_OF_UNITY else _spec(-1, 3)
+            emit("geom-alt(3)", alt, geometric_coords, -1)
     if case in (CASE_NM1_PLUS, CASE_NM1_MINUS):
-        eps = 1 if case == CASE_NM1_PLUS else -1
-        spec = _spec_nm1(n, eps)
-        if elsewhere(spec):
-            return out
-        ctx = spec.field()
         for i in range(1, n):
-            emit("vrow%d(%d)" % (i, n), spec, row_span_coords(n, i, ctx, eps))
-        if n == 3:
-            # l = +-1: the difference of the two shortest tangles
-            emit("kv3-unit", spec, _coords(3, ctx, {
-                (1, 2): ctx.one(), (2, 3): -ctx.one()}))
-        if n == 4:
-            if eps < 0:
-                emit("kv4-neginvr", spec, _coords(4, ctx, {
-                    (1, 2): ctx.one(), (2, 3): -ctx.one(),
-                    (3, 4): ctx.one(), (1, 4): ctx.one()}))
-            else:
-                emit("kv4-invr", spec, _coords(4, ctx, {
-                    (2, 3): -ctx.one(), (1, 4): ctx.one()}))
-        if n == 5:
-            if eps < 0:
-                emit("kv5-neginvr2", spec, _coords(5, ctx, {
-                    (1, 2): -ctx.r_pow(2),
-                    (2, 3): ctx.r_pow(2) + ctx.r_pow(-1),
-                    (1, 3): ctx.r_pow(1), (3, 4): -ctx.r_pow(-1),
-                    (2, 4): ctx.one(), (3, 5): -ctx.one(),
-                    (2, 5): ctx.r_pow(1)}))
-            else:
-                emit("kv5-invr2", spec, _coords(5, ctx, {
-                    (1, 2): ctx.r_pow(2),
-                    (2, 3): -ctx.r_pow(2) + ctx.r_pow(-1),
-                    (1, 3): -ctx.r_pow(1), (3, 4): -ctx.r_pow(-1),
-                    (2, 4): ctx.one(), (3, 5): -ctx.one(),
-                    (2, 5): ctx.r_pow(1)}))
-        return out
-
+            emit("vrow%d(%d)" % (i, n), spec, row_span_coords, i, eps)
+    for name, pairs in _TABLE.get((case, None), []) if n >= 5 else []:
+        emit("%s(%d)" % (name, n), spec, _coords, pairs)
+    for name, pairs in _TABLE.get((case, n), []):
+        emit(name, spec, _coords, pairs)
     if case == CASE_L_R:
-        spec = _SPEC_L_R
-        if elsewhere(spec):
-            return out
-        ctx = spec.field()
-        if n >= 5:
-            emit("short-r(%d)" % n, spec, _coords(n, ctx, {
-                (1, 2): ctx.r_pow(2), (1, 3): -ctx.r_pow(1),
-                (3, 4): ctx.one(), (2, 4): -ctx.r_pow(1)}))
-        if n == 4:
-            emit("kv4-r", spec, _coords(4, ctx, {
-                (2, 3): -ctx.r_pow(1), (1, 3): ctx.r_pow(2),
-                (2, 4): ctx.one(), (1, 4): -ctx.r_pow(1)}))
-        if n == 5:
-            emit("kv5-r", spec, _coords(5, ctx, {
-                (1, 2): ctx.r_pow(2), (1, 3): -ctx.r_pow(1),
-                (3, 4): ctx.one(), (2, 4): -ctx.r_pow(1)}))
-            for idx, pairs in enumerate(_hecke_basis_5(ctx), start=1):
-                emit("hk5-%d" % idx, spec, _coords(5, ctx, pairs))
-        if n >= 4:
-            for t in range(4, n + 1):
-                for k in range(1, t - 1):
-                    emit("tower%d.%d(%d)" % (t, k, n), spec,
-                         tower_coords(n, t, k, ctx))
-        return out
-
-    if case == CASE_L_NEG_R3:
-        spec = _SPEC_L_NEG_R3
-        if elsewhere(spec):
-            return out
-        ctx = spec.field()
-        if n == 3:
-            emit("kv3-negr3", spec, _coords(3, ctx, {
-                (1, 2): -ctx.r_pow(1), (2, 3): -ctx.r_pow(-1),
-                (1, 3): ctx.one()}))
-        if n == 4:
-            emit("kv4-negr3", spec, _coords(4, ctx, {
-                (1, 2): -ctx.r_pow(2), (2, 3): -ctx.one(),
-                (3, 4): -ctx.r_pow(-2), (1, 4): ctx.one()}))
-            for idx, pairs in enumerate(_triple_4(ctx), start=1):
-                emit("triple%d(4)" % idx, spec, _coords(4, ctx, pairs))
-        if n >= 5:
-            emit("short-negr3(%d)" % n, spec, _coords(n, ctx, {
-                (2, 3): -ctx.r_pow(1), (3, 4): -ctx.r_pow(-1),
-                (2, 4): ctx.one()}))
-        if n >= 4:
-            for k in range(1, n - 1):
-                emit("ladder%d(%d)" % (k, n), spec, ladder_coords(n, k, ctx))
-        return out
-
-    # root-of-unity variants: l = -r^3 with r a primitive 4n-th root of
-    # unity (so l also equals 1/r^{2n-3}); for n = 3 the 12th roots.  The
-    # quotient field is built only when `at` can be one.
-    if at is not None and not at.is_quotient:
-        return out
-    spec = Specialization.l_to_mod(-(_R ** 3), 12 if n == 3 else 4 * n)
-    if elsewhere(spec):
-        return out
-    ctx = spec.field()
-    if n == 3:
-        emit("geom(3)", spec, geometric_coords(3, ctx, 1))
-        emit("geom-alt(3)", spec, geometric_coords(3, ctx, -1))
-        return out
-    emit("geom(%d)" % n, spec, geometric_coords(n, ctx, 1))
-    if n >= 5:
-        emit("short-negr3(%d)" % n, spec, _coords(n, ctx, {
-            (2, 3): -ctx.r_pow(1), (3, 4): -ctx.r_pow(-1),
-            (2, 4): ctx.one()}))
-    for k in range(1, n - 1):
-        emit("ladder%d(%d)" % (k, n), spec, ladder_coords(n, k, ctx))
+        for t in range(4, n + 1):
+            for k in range(1, t - 1):
+                emit("tower%d.%d(%d)" % (t, k, n), spec, tower_coords, t, k)
+    if case in (CASE_L_NEG_R3, CASE_ROOT_OF_UNITY) and n > 3:
+        for k in range(1, n - 1):
+            emit("ladder%d(%d)" % (k, n), spec, ladder_coords, k)
     return out
-
-
-def _hecke_basis_5(ctx):
-    """The five vectors spanning the irreducible 5-dimensional invariant
-    subspace at l = r (n = 5)."""
-    one = ctx.one()
-    r = ctx.r_pow(1)
-    rinv = ctx.r_pow(-1)
-    r2 = ctx.r_pow(2)
-    return [
-        {(3, 4): -rinv, (2, 4): one, (1, 2): -r, (1, 3): one},
-        {(3, 5): -rinv, (2, 5): one, (1, 2): -r2, (1, 3): r},
-        {(1, 3): -r2, (1, 4): r, (4, 5): -rinv, (3, 5): one},
-        {(2, 3): one, (2, 4): -rinv, (1, 4): one, (1, 3): -r},
-        {(2, 3): r, (1, 3): -r2, (2, 5): -rinv, (1, 5): one},
-    ]
-
-
-def _triple_4(ctx):
-    """The three vectors spanning the irreducible 3-dimensional invariant
-    subspace at l = -r^3 (n = 4)."""
-    one = ctx.one()
-    r = ctx.r_pow(1)
-    rinv = ctx.r_pow(-1)
-    return [
-        {(2, 3): r, (1, 3): one, (3, 4): rinv + ctx.r_pow(-3),
-         (2, 4): -one, (1, 4): -rinv},
-        {(1, 2): -r, (1, 3): -ctx.r_pow(2), (3, 4): -rinv,
-         (2, 4): -ctx.r_pow(-2), (1, 4): r + rinv},
-        {(1, 2): r + ctx.r_pow(3), (2, 3): rinv, (1, 3): -one,
-         (2, 4): one, (1, 4): -r},
-    ]
 
 
 def check_named(n, case):
@@ -598,6 +523,8 @@ def rank_witness(n, spec, size, row_pool=None, col_pool=None):
     first maximal independent set of columns (a greedy basis of a matroid,
     Gale), so the first `size` pivot columns of T(n) on the pools are the
     first column set, and the pivot rows on those columns the row set."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
     N = num_roots(n)
     if row_pool is None:
         row_pool = list(range(1, N + 1))
@@ -647,7 +574,7 @@ def det_Sn_formula_check(n):
     if not 5 <= n:
         raise ValueError("the nested family starts at n = 5")
     rows, cols = _nested_indices(n)
-    got = submatrix_det(n, _SPEC_L_NEG_R3, rows, cols)
+    got = submatrix_det(n, _spec(-1, 3), rows, cols)
     num = Poly2({(0, 4 * j): 1 for j in range(n)})
     expected = FieldElement(num, Poly2.monomial(0, 8 + n * (n - 5) // 2))
     if (n + 1) % 2:

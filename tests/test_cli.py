@@ -108,12 +108,24 @@ def test_exit_code_parse_error(runner):
     ["kernel", "--n", "3", "--l", "(((2^64)^64)^64)"],
     ["kernel", "--n", "3", "--l", "((((2^64)^64)^64)^64)"],
     ["det", "--n", "4", "--l", "(2^64)^64"],
+    # n is checked before the index pools
+    ["rank-witness", "--n", "0", "--l", "r", "--size", "1"],
+    ["rank-witness", "--n", "1", "--l", "r", "--size", "1"],
+    ["rank-witness", "--n", "2", "--l", "r", "--size", "2"],
 ])
 def test_exit_code_out_of_range_input(runner, args):
     start = time.perf_counter()
     result = runner.invoke(main, args)
     assert time.perf_counter() - start < 2
     assert result.exit_code == 3, result.output
+
+
+@pytest.mark.parametrize("n,size", [("0", "1"), ("1", "1"), ("2", "2")])
+def test_rank_witness_checks_n_before_the_pools(runner, n, size):
+    result = runner.invoke(main, ["rank-witness", "--n", n, "--l", "r",
+                                  "--size", size])
+    assert result.exit_code == 3
+    assert result.output == "error: input: n must be at least 3\n"
 
 
 def test_exit_code_pole(runner):
@@ -323,6 +335,15 @@ def test_golden_mismatch_exits_two(runner, tmp_path):
 
 
 def test_exit_code_degenerate_modulus(runner):
-    result = runner.invoke(main, ["kernel", "--n", "3", "--l", "-r^3",
-                                  "--modulus", "cyclotomic:2"])
-    assert result.exit_code == 3
+    # r^2 = 1 makes m = 1/r - r vanish; the spec is refused as it is parsed
+    for modulus in ("cyclotomic:1", "cyclotomic:2"):
+        for args in (["matrices", "--n", "3"], ["verify", "--n", "3"],
+                     ["sum-matrix", "--n", "3"], ["det", "--n", "3"],
+                     ["kernel", "--n", "3"],
+                     ["rank-witness", "--n", "4", "--size", "2"]):
+            result = runner.invoke(main, args + ["--l", "-r^3",
+                                                 "--modulus", modulus])
+            assert result.exit_code == 3, args
+            assert result.output == (
+                "error: parse: the specialization forces r^2 = 1, which "
+                "annihilates m\n"), args

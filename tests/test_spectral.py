@@ -1,5 +1,6 @@
 """Determinant locus, kernels, named vectors, submatrix search."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -534,6 +535,18 @@ def test_named_vectors_at_a_specialization(n):
             got = named_vectors(n, case, at=spec)
             assert ([(v.name, v.coords) for v in got]
                     == [(v.name, v.coords) for v in every if v.spec == spec])
+
+
+def test_every_catalogued_coordinate_is_pinned():
+    """Names, order, specs and coordinates of the whole catalogue for
+    n = 3..12, against the sha256 of its JSON form."""
+    rows = [[n, case, v.name, str(v.spec), [str(e) for e in v.vector()]]
+            for n in range(3, 13) for case in ALL_CASES
+            for v in named_vectors(n, case)]
+    blob = json.dumps(rows, sort_keys=True).encode("utf-8")
+    assert len(rows) == 515
+    assert hashlib.sha256(blob).hexdigest() == (
+        "4af81adf639329af3acf365a404e0c8c7b12dce653a455f7869c01b0fca2f172")
 
 
 def test_named_vectors_elsewhere_build_no_coordinates(monkeypatch):

@@ -136,9 +136,8 @@ def test_row_family_membership_at_eight_strands():
 # -- degenerate specializations ------------------------------------------------
 
 def test_r_squared_one_is_rejected():
-    spec = Specialization.l_to_mod(-(R ** 3), 2)
-    with pytest.raises(ValueError):
-        build_matrices(3, spec)
+    with pytest.raises(ValueError, match="r\\^2 = 1"):
+        build_matrices(3, Specialization.l_to_mod(-(R ** 3), 2))
 
 
 def test_l_r_two_dimensional_plane_for_four_strands():
