@@ -18,8 +18,9 @@ The list holds:
   file, named relative to the tree root so that no digest depends on where
   the tree lives;
 - every error exit: n out of range, malformed or vanishing l, malformed or
-  refused moduli (Phi_1 and Phi_2 force r^2 = 1), malformed pools and
-  sizes, missing and unknown options;
+  refused moduli (Phi_1 and Phi_2 force r^2 = 1), an empty modulus with
+  a generic and with a specialized l, malformed pools and sizes, missing
+  and unknown options;
 - the group's `--help` and each command's `--help`;
 - `LK_SIZE_GUARD=4` and `LK_SIZE_GUARD=abc`, each set for its own runs
   (every other run has LK_SIZE_GUARD unset).
@@ -194,6 +195,8 @@ def _errors():
                 _small(cmd, l="r", modulus="cyclotomic:2"),
                 _small(cmd, l="r", modulus="cyclotomic:0"),
                 _small(cmd, l="generic", modulus="cyclotomic:8"),
+                _small(cmd, l="generic", modulus=""),
+                _small(cmd, l="r", modulus=""),
                 _small(cmd, l="r^2+1", modulus="cyclotomic:4")]
     return ops
 

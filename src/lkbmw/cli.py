@@ -43,7 +43,7 @@ def _parse_spec(l_expr, modulus):
     """The Specialization named by --l and --modulus; raises one of
     INPUT_ERRORS when there is none."""
     if l_expr.strip() == "generic":
-        if modulus:
+        if modulus is not None:
             raise ValueError("a modulus requires a specialized l")
         return Specialization.generic()
     value = parse_r_expression(l_expr)

@@ -89,7 +89,8 @@ def nu_inv_action(n, i, beta, ctx):
 
 @dataclass
 class LKMatrices:
-    """The family {G_i, E_i, G_i^{-1}} of size n(n-1)/2 over one field."""
+    """The family {G_i, E_i, G_i^{-1}} over one field: n(n-1)/2 wide when
+    built from the case formulas, n-1 generators of any size in general."""
 
     n: int
     spec: Specialization
@@ -99,17 +100,18 @@ class LKMatrices:
 
     @property
     def size(self):
-        return num_roots(self.n)
+        return len(self.G[0])
 
 
-def _columns_to_matrix(n, columns, ctx):
-    size = num_roots(n)
-    zero = ctx.zero()
-    M = [[zero] * size for _ in range(size)]
-    for col_pos, entries in columns.items():
-        for root, coeff in entries.items():
-            M[root.position() - 1][col_pos - 1] = coeff
-    return M
+def _action_matrix(n, i, action, roots, ctx):
+    """The dense matrix of the i-th generator whose column of beta is the
+    sparse map action(n, i, beta, ctx): root -> coefficient."""
+    rows = [{} for _ in roots]
+    for beta in roots:
+        col = beta.position() - 1
+        for root, coeff in action(n, i, beta, ctx).items():
+            rows[root.position() - 1][col] = coeff
+    return linalg.dense(rows, len(roots), ctx.zero())
 
 
 def build_matrices(n, spec=None):
@@ -121,17 +123,9 @@ def build_matrices(n, spec=None):
         spec = Specialization.generic()
     ctx = spec.field()
     roots = all_roots(n)
-    G, E, Ginv = [], [], []
-    for i in range(1, n):
-        gcols, ecols, icols = {}, {}, {}
-        for beta in roots:
-            pos = beta.position()
-            gcols[pos] = nu_action(n, i, beta, ctx)
-            ecols[pos] = nu_e_action(n, i, beta, ctx)
-            icols[pos] = nu_inv_action(n, i, beta, ctx)
-        G.append(_columns_to_matrix(n, gcols, ctx))
-        E.append(_columns_to_matrix(n, ecols, ctx))
-        Ginv.append(_columns_to_matrix(n, icols, ctx))
+    G, E, Ginv = ([_action_matrix(n, i, action, roots, ctx)
+                   for i in range(1, n)]
+                  for action in (nu_action, nu_e_action, nu_inv_action))
     return LKMatrices(n=n, spec=spec, G=G, E=E, Ginv=Ginv)
 
 
@@ -244,10 +238,18 @@ class RelationReport:
 
 def verify_relations(mats):
     """Check the defining relations of B(A_{n-1}) on the matrices, with exact
-    equality: braid relations, the polynomial definition of the e_i, the
-    mixed relations, the inverse law, the idempotent relation e_i^2 = x e_i
-    and the vanishing of e_i e_j for distant nodes.  The matrices are taken
-    to sparse rows once, where equality is == (linalg)."""
+    equality: the braid relations (1)-(2), the polynomial definition of the
+    e_i (3), the quadratic relation (8), the inverse law (9), the other
+    mixed relations (4)-(13), the idempotent relation e_i^2 = x e_i (14) and
+    the vanishing of e_a e_b for distant nodes (15).  The matrices are taken to sparse rows once, where equality
+    is == (linalg).  Every relation at node a is decided in one pass over a,
+    so each product is computed once and only a few matrices are alive at
+    any moment; each check is recorded under (relation, a, b) and reported
+    in the order of that key.
+
+    With every E_i = 0 and G_i^{-1} = G_i + m, the relations say exactly
+    that the G_i satisfy the braid relations and G^2 + mG = 1: the
+    relations of a Hecke algebra module (specht.verify_seed_matrices)."""
     n = mats.n
     ctx = mats.spec.field()
     G, E, Ginv = (list(map(linalg.sparse, F))
@@ -261,76 +263,49 @@ def verify_relations(mats):
     add = linalg.mat_add
     sub = linalg.mat_sub
     scale = linalg.mat_scale
-    checks = []
-
-    def check(name, ok):
-        checks.append((name, ok))
-
-    for a in range(n - 1):
-        for b in range(a + 2, n - 1):
-            check("(1) g%dg%d=g%dg%d" % (a + 1, b + 1, b + 1, a + 1),
-                  mul(G[a], G[b]) == mul(G[b], G[a]))
-    for a in range(n - 2):
-        # g_a g_{a+1} g_a = g_{a+1} g_a g_{a+1}, both around g_a g_{a+1}
-        p = mul(G[a], G[a + 1])
-        check("(2) braid g%d,g%d" % (a + 1, a + 2),
-              mul(p, G[a]) == mul(G[a + 1], p))
-    # The relations that share a product are decided together, one a at a
-    # time, so each product is computed once and only a few matrices are
-    # alive at any moment; verdict[k][a] is the outcome of relation (k) at
-    # a, and the checks are then reported in their fixed order.
     l_over_m = l / m
     m_ident = scale(ident, m)
-    verdict = {k: [None] * (n - 1) for k in (3, 5, 6, 8, 9, 10, 11, 12, 13)}
+    checks = {}
     for a in range(n - 1):
+        i = a + 1
+        for b in range(a + 2, n - 1):
+            checks[1, a, b] = ("(1) g%dg%d=g%dg%d" % (i, b + 1, b + 1, i),
+                               mul(G[a], G[b]) == mul(G[b], G[a]))
+            checks[15, a, b] = ("e%de%d=0" % (i, b + 1),
+                                not any(mul(E[a], E[b])))
+        if a + 1 < n - 1:
+            # g_a g_{a+1} g_a = g_{a+1} g_a g_{a+1}, both around g_a g_{a+1}
+            p = mul(G[a], G[a + 1])
+            checks[2, a, a + 1] = ("(2) braid g%d,g%d" % (i, i + 1),
+                                   mul(p, G[a]) == mul(G[a + 1], p))
         g2 = mul(G[a], G[a])
         mg = scale(G[a], m)
-        verdict[3][a] = E[a] == scale(sub(add(g2, mg), ident), l_over_m)
-        verdict[8][a] = g2 == add(sub(ident, mg), scale(E[a], m * linv))
-        verdict[9][a] = (mul(G[a], Ginv[a]) == ident
-                         and Ginv[a] == sub(add(G[a], m_ident),
-                                            scale(E[a], m)))
-        for b, (k1, k2, k3) in ((a + 1, (5, 10, 12)), (a - 1, (6, 11, 13))):
+        checks[3, a, a] = ("(3) e%d polynomial in g%d" % (i, i),
+                           E[a] == scale(sub(add(g2, mg), ident), l_over_m))
+        checks[4, a, a] = ("(4) g%de%d=l^-1 e%d" % (i, i, i),
+                           mul(G[a], E[a]) == scale(E[a], linv))
+        checks[7, a, a] = ("(7) e%dg%d=l^-1 e%d" % (i, i, i),
+                           mul(E[a], G[a]) == scale(E[a], linv))
+        checks[8, a, a] = ("(8) g%d^2=1-mg+ml^-1 e" % i,
+                           g2 == add(sub(ident, mg), scale(E[a], m * linv)))
+        checks[9, a, a] = ("(9) inverse law g%d" % i,
+                           mul(G[a], Ginv[a]) == ident
+                           and Ginv[a] == sub(add(G[a], m_ident),
+                                              scale(E[a], m)))
+        checks[14, a, a] = ("idempotent e%d^2=x e%d" % (i, i),
+                            mul(E[a], E[a]) == scale(E[a], x))
+        # (5), (10), (12) at b = a + 1 and (6), (11), (13) at b = a - 1
+        for b, k in ((a + 1, 5), (a - 1, 6)):
             if 0 <= b < n - 1:
+                j = b + 1
                 ge, ee = mul(G[b], E[a]), mul(E[b], E[a])
-                verdict[k1][a] = mul(E[a], ge) == scale(E[a], l)
-                verdict[k2][a] = mul(G[a], ge) == ee
-                verdict[k3][a] = mul(G[a], ee) == add(
-                    ge, scale(sub(E[a], ee), m))
-
-    for a in range(n - 1):
-        check("(3) e%d polynomial in g%d" % (a + 1, a + 1), verdict[3][a])
-    for a in range(n - 1):
-        check("(4) g%de%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
-              mul(G[a], E[a]) == scale(E[a], linv))
-    for a in range(n - 2):
-        check("(5) e%dg%de%d=l e%d" % (a + 1, a + 2, a + 1, a + 1),
-              verdict[5][a])
-    for a in range(1, n - 1):
-        check("(6) e%dg%de%d=l e%d" % (a + 1, a, a + 1, a + 1),
-              verdict[6][a])
-    for a in range(n - 1):
-        check("(7) e%dg%d=l^-1 e%d" % (a + 1, a + 1, a + 1),
-              mul(E[a], G[a]) == scale(E[a], linv))
-    for a in range(n - 1):
-        check("(8) g%d^2=1-mg+ml^-1 e" % (a + 1), verdict[8][a])
-    for a in range(n - 1):
-        check("(9) inverse law g%d" % (a + 1), verdict[9][a])
-    for a in range(n - 2):
-        check("(10) g%dg%de%d=e%de%d" % (a + 1, a + 2, a + 1, a + 2, a + 1),
-              verdict[10][a])
-    for a in range(1, n - 1):
-        check("(11) g%dg%de%d=e%de%d" % (a + 1, a, a + 1, a, a + 1),
-              verdict[11][a])
-    for a in range(n - 2):
-        check("(12) mixed g%de%de%d" % (a + 1, a + 2, a + 1), verdict[12][a])
-    for a in range(1, n - 1):
-        check("(13) mixed g%de%de%d" % (a + 1, a, a + 1), verdict[13][a])
-    for a in range(n - 1):
-        check("idempotent e%d^2=x e%d" % (a + 1, a + 1),
-              mul(E[a], E[a]) == scale(E[a], x))
-    for a in range(n - 1):
-        for b in range(a + 2, n - 1):
-            check("e%de%d=0" % (a + 1, b + 1),
-                  not any(mul(E[a], E[b])))
-    return RelationReport(n=n, spec=mats.spec, checks=checks)
+                checks[k, a, b] = ("(%d) e%dg%de%d=l e%d" % (k, i, j, i, i),
+                                   mul(E[a], ge) == scale(E[a], l))
+                checks[k + 5, a, b] = (
+                    "(%d) g%dg%de%d=e%de%d" % (k + 5, i, j, i, j, i),
+                    mul(G[a], ge) == ee)
+                checks[k + 7, a, b] = (
+                    "(%d) mixed g%de%de%d" % (k + 7, i, j, i),
+                    mul(G[a], ee) == add(ge, scale(sub(E[a], ee), m)))
+    return RelationReport(n=n, spec=mats.spec,
+                          checks=[checks[key] for key in sorted(checks)])

@@ -1,6 +1,7 @@
 """Hook-length dimension arithmetic for partitions, the dimension-gap checks
 used to classify small irreducible modules of the symmetric group, and the
-explicit small Hecke matrix families with their relation checks.
+explicit small Hecke matrix families, checked as modules of the BMW algebra
+on which every e_i acts as 0.
 """
 
 from __future__ import annotations
@@ -9,8 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from . import linalg
-from .rep import RelationReport
+from .rep import LKMatrices, verify_relations
 from .rings import FieldElement, Specialization
 
 
@@ -110,98 +110,63 @@ def _mk(size, entries, ctx):
 
 
 def seed_matrices(family, n):
-    """The generator matrices of the named family over Q(r).
+    """The generator matrices of the named family over Q(r), and the field.
 
-    'M' and 'N' are the two conjugate (n-1)-dimensional families (r-diagonal
-    with one perturbed row, and its r <-> -1/r mirror); 'P' and 'Q' are the
-    two 5-dimensional families for six strands.
+    'M' is the (n-1)-dimensional family (r-diagonal with one perturbed row)
+    and 'P' the 5-dimensional family for five strands.  'N' and 'Q' are
+    their conjugates: the same entries under the mirror r -> -1/r, which
+    fixes m = 1/r - r.
     """
     ctx = Specialization.l_to(FieldElement.r()).field()
-    r = ctx.r_pow(1)
-    rinv = ctx.r_pow(-1)
-    one = ctx.one()
+    r, rinv, one = ctx.r_pow(1), ctx.r_pow(-1), ctx.one()
+    if family in ("N", "Q"):
+        r, rinv = -rinv, -r
     if family in ("M", "N"):
         if n < 3:
             raise ValueError("the diagonal families need n >= 3")
         size = n - 1
         out = []
         for i in range(1, n):
-            if family == "M":
-                entries = {(a, a): r for a in range(1, size + 1)}
-                entries[(i, i)] = -rinv
-                if i > 1:
-                    entries[(i, i - 1)] = r
-                if i < size:
-                    entries[(i, i + 1)] = rinv
-            else:
-                entries = {(a, a): -rinv for a in range(1, size + 1)}
-                entries[(i, i)] = r
-                if i > 1:
-                    entries[(i, i - 1)] = -rinv
-                if i < size:
-                    entries[(i, i + 1)] = -r
+            entries = {(a, a): r for a in range(1, size + 1)}
+            entries[(i, i)] = -rinv
+            if i > 1:
+                entries[(i, i - 1)] = r
+            if i < size:
+                entries[(i, i + 1)] = rinv
             out.append(_mk(size, entries, ctx))
         return out, ctx
     if family not in ("P", "Q") or n != 5:
         raise ValueError("family must be M/N (n >= 3) or P/Q with n = 5")
-    r2 = ctx.r_pow(2)
-    if family == "P":
-        data = [
-            {(1, 1): r, (2, 2): r, (3, 3): r,
-             (4, 1): one, (4, 3): -r2, (4, 4): -rinv,
-             (5, 2): one, (5, 5): -rinv},
-            {(1, 1): -rinv, (1, 4): one,
-             (2, 2): -rinv, (2, 3): one, (2, 5): one,
-             (3, 3): r, (4, 4): r, (5, 5): r},
-            {(1, 1): r, (2, 2): r,
-             (3, 2): one, (3, 3): -rinv,
-             (4, 1): one, (4, 4): -rinv, (4, 5): -r2,
-             (5, 5): r},
-            {(1, 2): one, (1, 3): -r,
-             (2, 1): one, (2, 2): r - rinv, (2, 3): one,
-             (3, 3): r,
-             (4, 3): -r2, (4, 5): one,
-             (5, 3): r, (5, 4): one, (5, 5): r - rinv},
-        ]
-    else:
-        data = [
-            {(1, 1): -rinv, (2, 2): -rinv, (3, 3): -rinv,
-             (4, 1): one, (4, 3): -ctx.r_pow(-2), (4, 4): r,
-             (5, 2): one, (5, 5): r},
-            {(1, 1): r, (1, 4): one,
-             (2, 2): r, (2, 3): one, (2, 5): one,
-             (3, 3): -rinv, (4, 4): -rinv, (5, 5): -rinv},
-            {(1, 1): -rinv, (2, 2): -rinv,
-             (3, 2): one, (3, 3): r,
-             (4, 1): one, (4, 4): r, (4, 5): -ctx.r_pow(-2),
-             (5, 5): -rinv},
-            {(1, 2): one, (1, 3): rinv,
-             (2, 1): one, (2, 2): r - rinv, (2, 3): one,
-             (3, 3): -rinv,
-             (4, 3): -ctx.r_pow(-2), (4, 5): one,
-             (5, 3): -rinv, (5, 4): one, (5, 5): r - rinv},
-        ]
+    r2 = r * r
+    data = [
+        {(1, 1): r, (2, 2): r, (3, 3): r,
+         (4, 1): one, (4, 3): -r2, (4, 4): -rinv,
+         (5, 2): one, (5, 5): -rinv},
+        {(1, 1): -rinv, (1, 4): one,
+         (2, 2): -rinv, (2, 3): one, (2, 5): one,
+         (3, 3): r, (4, 4): r, (5, 5): r},
+        {(1, 1): r, (2, 2): r,
+         (3, 2): one, (3, 3): -rinv,
+         (4, 1): one, (4, 4): -rinv, (4, 5): -r2,
+         (5, 5): r},
+        {(1, 2): one, (1, 3): -r,
+         (2, 1): one, (2, 2): r - rinv, (2, 3): one,
+         (3, 3): r,
+         (4, 3): -r2, (4, 5): one,
+         (5, 3): r, (5, 4): one, (5, 5): r - rinv},
+    ]
     return [_mk(5, entries, ctx) for entries in data], ctx
 
 
 def verify_seed_matrices(family, n):
-    """Braid relations and the quadratic H^2 + mH = 1 for the family."""
+    """The relations of B(A_{n-1}) on the family read as a module on which
+    every e_i acts as 0 (rep.verify_relations): the braid relations and the
+    quadratic H^2 + mH = 1."""
     gens, ctx = seed_matrices(family, n)
-    mats = [linalg.sparse(H) for H in gens]
-    ident = linalg.identity(len(mats[0]), ctx)
-    m = ctx.m()
-    mul = linalg.mat_mul
-    checks = []
-    for idx, H in enumerate(mats, start=1):
-        lhs = linalg.mat_add(mul(H, H), linalg.mat_scale(H, m))
-        checks.append(("%s%d quadratic" % (family, idx), lhs == ident))
-    for a in range(len(mats) - 1):
-        p = mul(mats[a], mats[a + 1])
-        checks.append(("%s braid %d,%d" % (family, a + 1, a + 2),
-                       mul(p, mats[a]) == mul(mats[a + 1], p)))
-    for a in range(len(mats)):
-        for b in range(a + 2, len(mats)):
-            checks.append(("%s commute %d,%d" % (family, a + 1, b + 1),
-                           mul(mats[a], mats[b]) == mul(mats[b], mats[a])))
-    return RelationReport(n=n, spec=Specialization.l_to(FieldElement.r()),
-                          checks=checks)
+    m, zero = ctx.m(), ctx.zero()
+    size = len(gens[0])
+    ginv = [[[h + m if a == b else h for b, h in enumerate(row)]
+             for a, row in enumerate(H)] for H in gens]
+    return verify_relations(LKMatrices(
+        n=n, spec=Specialization.l_to(FieldElement.r()), G=gens,
+        E=[[[zero] * size for _ in range(size)]] * len(gens), Ginv=ginv))

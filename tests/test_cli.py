@@ -143,6 +143,17 @@ def test_exit_code_pole_in_quotient(runner, l_expr, modulus):
     assert "vanishes modulo" in result.output
 
 
+@pytest.mark.parametrize("l_expr,message", [
+    ("generic", "a modulus requires a specialized l"),
+    ("r", "modulus must look like cyclotomic:M")])
+def test_exit_code_empty_modulus(runner, l_expr, message):
+    # an empty --modulus is a modulus, never the absence of one
+    result = runner.invoke(main, ["det", "--n", "3", "--l", l_expr,
+                                  "--modulus", ""])
+    assert result.exit_code == 3
+    assert result.output == "error: parse: %s\n" % message
+
+
 @pytest.mark.parametrize("l_expr,modulus", [("0", None),
                                              ("0", "cyclotomic:8"),
                                              ("r^2+1", "cyclotomic:4")])

@@ -1,6 +1,8 @@
 """Representation builders against the published matrix displays."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -276,6 +278,17 @@ def test_distant_e_product_must_vanish():
     E1[a][b] = R
     report = verify_relations(dataclasses.replace(mats, E=[E1] + mats.E[1:]))
     assert "e1e3=0" in report.failures
+
+
+def test_relation_report_names_are_pinned():
+    # the names and order of every check for n = 3..8; the fixtures pin
+    # only n = 3 and 5
+    names = [[name for name, _ in verify_relations(build_matrices(
+        n, Specialization.l_to_mod(-(R ** 3), 20))).checks]
+             for n in range(3, 9)]
+    assert sum(map(len, names)) == 379
+    assert hashlib.sha256(json.dumps(names).encode()).hexdigest() == (
+        "5df4b023e7120762c3540d5efb3820d8ab523deb2619df6e11037f296f15ffa0")
 
 
 def test_relations_specialized():

@@ -1,9 +1,13 @@
 """Hook-length dimensions and the explicit Hecke families."""
 
+import hashlib
+import json
 from math import factorial
 
 import pytest
 
+from lkbmw import specht
+from lkbmw.rings import FE_ZERO
 from lkbmw.specht import (Partition, dim_gap_check, gap_violations, hook_dim,
                           partitions, seed_matrices, sym_dims,
                           verify_seed_matrices)
@@ -80,6 +84,36 @@ def test_diagonal_families_satisfy_the_relations(family, n):
 def test_five_strand_families(family):
     report = verify_seed_matrices(family, 5)
     assert report.all_pass, report.failures
+
+
+def test_seed_matrices_are_pinned():
+    # the entry strings of M/N for n = 3..9 and of P/Q: N and Q are the
+    # mirrors of M and P, so this also pins the mirror
+    entries = [[[[str(e) for e in row] for row in H]
+                for H in seed_matrices(family, n)[0]]
+               for family, sizes in (("M", range(3, 10)), ("N", range(3, 10)),
+                                     ("P", [5]), ("Q", [5]))
+               for n in sizes]
+    assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == (
+        "5abb1b1df3478adda742570fff4e0189805a8a5c79710bd9a768d44989306c27")
+
+
+def test_corrupted_seed_matrix_fails_its_relations(monkeypatch):
+    # the r at (1, 1) of H_2 in M(5) set to zero breaks the quadratic of H_2,
+    # which (3), (8) and (9) each state when E = 0, and both braid relations
+    # through H_2; nothing else
+    pristine = seed_matrices
+
+    def corrupted(family, n):
+        gens, ctx = pristine(family, n)
+        H = [list(row) for row in gens[1]]
+        H[0][0] = FE_ZERO
+        return gens[:1] + [H] + gens[2:], ctx
+
+    monkeypatch.setattr(specht, "seed_matrices", corrupted)
+    assert verify_seed_matrices("M", 5).failures == [
+        "(2) braid g1,g2", "(2) braid g2,g3", "(3) e2 polynomial in g2",
+        "(8) g2^2=1-mg+ml^-1 e", "(9) inverse law g2"]
 
 
 def test_seed_families_are_not_equivalent_scalars():
