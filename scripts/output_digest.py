@@ -9,7 +9,9 @@ The list holds:
   (r^2+r+1)/(r-2) and 3/(2*r+5) for n = 4, 5, `verify` and `det` at n = 5
   with l = -r^3 modulo Phi_20, `kernel` at l = -r^3 for n = 3 modulo
   Phi_12 and n = 4 modulo Phi_16, and `kernel` and `det` at n = 5 with the
-  high-degree l = (r^64+1)/(r^63-3) modulo Phi_61;
+  high-degree l = (r^64+1)/(r^63-3) modulo Phi_61, and `det` over Q(r)
+  at l = r^2 for n = 6, 8 and at l = (r^2+r+1)/(r-2) for n = 6, where
+  the determinant's digit width is wider than at n <= 5;
 - every other command (`matrices`, `sum-matrix`, `locus`, `rank-witness`,
   `specht`, `info`) at small n, and each with `--output text`;
 - `check-vectors` for every case at n = 3..8, so every catalogued vector's
@@ -97,6 +99,9 @@ def _workloads():
     for cmd in ("kernel", "det"):
         ops.append([cmd, "--n", "5", "--l", "(r^64+1)/(r^63-3)",
                     "--modulus", "cyclotomic:61"])
+    ops += [["det", "--n", "6", "--l", "r^2"],
+            ["det", "--n", "8", "--l", "r^2"],
+            ["det", "--n", "6", "--l", "(r^2+r+1)/(r-2)"]]
     return ops
 
 

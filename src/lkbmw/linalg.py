@@ -14,6 +14,7 @@ ladders, as rings._ladder builds them).
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .rings import (_Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _divexact,
@@ -309,9 +310,10 @@ def bareiss_det_poly(M):
     Kronecker-packed integers.
 
     Every entry the elimination produces is a minor of M, so its r-degree is
-    below W = 1 + sum_i (max r-degree in row i) and its coefficients are at
-    most H = prod_i max(1, sum_j ||M_ij||_1) in absolute value (||.||_1 the
-    sum of the absolute coefficients).  The ring map l -> 2^(B W),
+    below W = 1 + sum_i (max r-degree in row i), and its coefficients, at most
+    its maximum on the torus |l| = |r| = 1, are at most Hadamard's bound
+    H = ceil(sqrt(prod_i max(1, sum_j ||M_ij||_1^2))) (||.||_1 the sum of the
+    absolute coefficients, row factors >= 1).  The ring map l -> 2^(B W),
     r -> 2^B with 2^(B-1) > H is therefore injective on those minors: a
     packed entry is zero exactly when its minor is, so the pivots are those
     of the elimination over Q[l, r], every division by the previous pivot is
@@ -324,8 +326,9 @@ def bareiss_det_poly(M):
     width, bound = 1, 1
     for row in M:
         width += max((len(v) - 1 for e in row for v in e), default=0)
-        bound *= max(1, sum(abs(c) for e in row for v in e for c in v))
-    bits = bound.bit_length() + 1
+        bound *= max(1, sum(sum(abs(c) for v in e for c in v) ** 2
+                            for e in row))
+    bits = (math.isqrt(bound - 1) + 1).bit_length() + 1
     A = [[sum(c << bits * (a * width + b)
               for a, v in enumerate(e) for b, c in enumerate(v) if c)
           for e in row] for row in M]

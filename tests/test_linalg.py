@@ -103,14 +103,28 @@ def test_zero_pivots_force_row_swaps():
 
 
 def test_determinant_at_the_coefficient_bound():
-    """det diag(-3, 5, 7) = -105 reaches the bound H = 105 with a negative
-    sign, so a digit width one bit short would misread it."""
+    """Determinants that reach the row Hadamard bound H, so a digit width
+    one bit short would misread them: det diag(-3, 5, 7) = -105 with
+    H = sqrt(9 * 25 * 49) = 105; the Sylvester 4x4 +-1 matrix, det 16 with
+    H = sqrt(4^4); and [[l, r], [-l, r]], det 2lr with H = sqrt(2 * 2) = 2.
+    The last two are positive powers of two, the one sign at which a
+    balanced digit of one bit less overflows."""
     consts = [Poly2.const(c) for c in (-3, 5, 7)]
     M = [[consts[i] if i == j else Poly2.zero() for j in range(3)]
          for i in range(3)]
     assert bareiss(M) == Poly2.const(-105)
     M = [[-(L * R ** 3) - R, Poly2.zero()], [Poly2.zero(), L + R.scale(2)]]
     assert bareiss(M) == leibniz_det(M)
+    H2 = [[ONE, ONE], [ONE, -ONE]]
+    H4 = [[H2[i % 2][j % 2] * (-ONE if i >= 2 and j >= 2 else ONE)
+           for j in range(4)] for i in range(4)]
+    assert bareiss(H4) == leibniz_det(H4) == Poly2.const(16)
+    assert bareiss([[L, R], [-L, R]]) == (L * R).scale(2)
+    assert bareiss([[L, R], [L, -R]]) == (L * R).scale(-2)
+    # a third row of one monomial: its row factor is 1
+    z = Poly2.zero()
+    M = [[L, R, z], [-L, R, z], [z, z, R ** 2]]
+    assert bareiss(M) == (L * R ** 3).scale(2)
 
 
 def test_empty_and_scalar_matrices():

@@ -46,6 +46,33 @@ def test_det_five_strands_nonzero_off_the_locus():
     assert not det_T(5, Specialization.l_to(R ** 2)).is_zero()
 
 
+def _closed_form_det(n):
+    """The paper's locus as a closed form: with N = n(n-1)/2, det T(n) is
+    (r - 1/r)^-N l^-N (l + r^3)^(N-n+1) (l - r)^(N-n) (l - r^(3-n))^(n-1)
+    (l + r^(3-n))^(n-1) (l - r^(3-2n))."""
+    N = n * (n - 1) // 2
+    l, rp = FieldElement.l(), FieldElement.r_pow
+    return ((R - 1 / R) ** -N * l ** -N * (l + rp(3)) ** (N - n + 1)
+            * (l - R) ** (N - n) * (l - rp(3 - n)) ** (n - 1)
+            * (l + rp(3 - n)) ** (n - 1) * (l - rp(3 - 2 * n)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generic_det_is_the_closed_form(n):
+    """det T(n) over Q(l, r) equals the closed form, and l^N det T(n) is a
+    polynomial in l over Q(r) of degree 2N whose top coefficient is
+    (r - 1/r)^-N: the leading-coefficient argument for the locus."""
+    N = n * (n - 1) // 2
+    d = det_T(n, Specialization.generic())
+    assert d == _closed_form_det(n)
+    lifted = d * FieldElement.l() ** N
+    assert lifted.den.degree_l() == 0
+    assert lifted.num.degree_l() == 2 * N
+    top = Poly2({(0, b): c for (a, b), c in lifted.num.terms.items()
+                 if a == 2 * N})
+    assert FieldElement(top, lifted.den) == (R - 1 / R) ** -N
+
+
 def test_size_guard():
     with pytest.raises(SizeGuardError):
         det_T(7, Specialization.generic())
@@ -385,7 +412,8 @@ PINNED_L = ["1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)"]
 @pytest.mark.parametrize(
     "n,l_expr",
     [(n, l) for n in (4, 5, 6) for l in _kernel_points(n)]
-    + [(n, l) for n in (4, 5) for l in PINNED_L] + [(4, "generic")])
+    + [(n, l) for n in (4, 5) for l in PINNED_L]
+    + [(4, "generic"), (5, "generic"), (8, "r^2")])
 def test_det_from_the_cleared_rows_matches_field_elimination(n, l_expr):
     spec = (Specialization.generic() if l_expr == "generic"
             else Specialization.l_to(l_expr))
