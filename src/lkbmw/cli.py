@@ -240,25 +240,22 @@ def rank_witness(n, spec, size, rows, cols):
              % (n, size, wrows, wcols, d)])
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--gap-check", is_flag=True, default=False)
-@_common
-def specht(n, gap_check, output, golden):
+@_command("specht", click.option("--gap-check", is_flag=True, default=False),
+          specialized=False)
+def specht(n, gap_check):
     """Hook-length dimensions of the irreducibles of Sym(n)."""
-    if n < 1 or n > MAX_N:
-        _fail(EXIT_INPUT_ERROR, "input", "n must be between 1 and %d" % MAX_N)
+    if n < 1:
+        raise ValueError("n must be between 1 and %d" % MAX_N)
     dims = specht_mod.sym_dims(n)
-    payload = {"command": "specht", "n": n,
-               "dims": [[list(p.parts), d] for p, d in dims]}
+    extras = {"dims": [[list(p.parts), d] for p, d in dims]}
     lines = ["specht n=%d: %d classes" % (n, len(dims))]
     if gap_check:
         ok = specht_mod.dim_gap_check(n)
-        payload["gap_check"] = ok
-        payload["violations"] = [[list(p.parts), d]
-                                 for p, d in specht_mod.gap_violations(n)]
+        extras["gap_check"] = ok
+        extras["violations"] = [[list(p.parts), d]
+                                for p, d in specht_mod.gap_violations(n)]
         lines.append("gap check: %s" % ok)
-    _emit(payload, output, golden, lines)
+    return extras, lines
 
 
 @main.command()

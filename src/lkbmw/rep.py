@@ -17,74 +17,43 @@ from .rings import Specialization
 from .roots import all_roots, inner2, num_roots, shift, simple_root
 
 
-def nu_action(n, i, beta, ctx):
-    """Image of x_beta under nu_i, as a sparse map RootIndex -> coefficient.
+def nu_images(n, i, beta, ctx):
+    """Images of x_beta under nu(g_i), nu(e_i) and nu(g_i^{-1}), as three
+    sparse maps RootIndex -> coefficient.
 
-    The six cases, split on 2(beta|alpha_i) and on the position of beta
-    relative to alpha_i:
-      (a) 0              -> r x_beta
-      (b) 2              -> l^{-1} x_beta
-      (c) 1, beta-a > a  -> x_{beta-a}
-      (d) 1, beta-a < a  -> x_{beta-a} + m/(l r^{ht-2}) x_a - m x_beta
-      (e) -1, beta > a   -> x_{beta+a} + m r^{ht-1} x_a - m x_beta
-      (f) -1, beta < a   -> x_{beta+a}
+    With a = alpha_i, h = ht(beta) and s = beta -+ a the one shifted root,
+    the six cases split on 2(beta|a) and on where s or beta sits against a.
+    Every e_i image is c x_a.  In each +-1 case one of g_i, g_i^{-1} is the
+    bare shift x_s and the other adds -+D, with D = m (c x_a - x_beta):
+
+          2(beta|a)  where       c             g_i          g_i^{-1}
+      (a)  0                     0             r x_beta     r^-1 x_beta
+      (b)  2                     x             l^-1 x_beta  l x_beta
+      (c)  1         beta-a > a  l r^{h-2}     x_s          x_s - D
+      (d)  1         beta-a < a  l^-1 r^{2-h}  x_s + D      x_s
+      (e) -1         beta > a    r^{h-1}       x_s + D      x_s
+      (f) -1         beta < a    r^{1-h}       x_s          x_s - D
     """
     ip = inner2(beta, i)
     alpha = simple_root(i, beta.n)
     if ip == 0:
-        return {beta: ctx.r_pow(1)}
+        return {beta: ctx.r_pow(1)}, {}, {beta: ctx.r_pow(-1)}
     if ip == 2:
-        return {beta: ctx.l_inv()}
-    m = ctx.m()
+        return {beta: ctx.l_inv()}, {alpha: ctx.x()}, {beta: ctx.l()}
     if ip == 1:
-        down = shift(beta, i, "-")
-        if alpha.precedes(down):
-            return {down: ctx.one()}
-        coeff = m * ctx.l_inv() * ctx.r_pow(-(beta.height - 2))
-        return {down: ctx.one(), alpha: coeff, beta: -m}
-    up = shift(beta, i, "+")
-    if beta.precedes(alpha):
-        return {up: ctx.one()}
-    return {up: ctx.one(), alpha: m * ctx.r_pow(beta.height - 1), beta: -m}
-
-
-def nu_e_action(n, i, beta, ctx):
-    """Image of x_beta under nu(e_i): always a multiple of x_{alpha_i}."""
-    ip = inner2(beta, i)
-    alpha = simple_root(i, beta.n)
-    if ip == 0:
-        return {}
-    if ip == 2:
-        return {alpha: ctx.x()}
-    if ip == 1:
-        down = shift(beta, i, "-")
-        if alpha.precedes(down):
-            return {alpha: ctx.l() * ctx.r_pow(beta.height - 2)}
-        return {alpha: ctx.l_inv() * ctx.r_pow(-(beta.height - 2))}
-    if alpha.precedes(beta):
-        return {alpha: ctx.r_pow(beta.height - 1)}
-    return {alpha: ctx.r_pow(-(beta.height - 1))}
-
-
-def nu_inv_action(n, i, beta, ctx):
-    """Image of x_beta under nu_i^{-1}."""
-    ip = inner2(beta, i)
-    alpha = simple_root(i, beta.n)
-    if ip == 0:
-        return {beta: ctx.r_pow(-1)}
-    if ip == 2:
-        return {beta: ctx.l()}
-    m = ctx.m()
-    if ip == 1:
-        down = shift(beta, i, "-")
-        if alpha.precedes(down):
-            coeff = -(m * ctx.l() * ctx.r_pow(beta.height - 2))
-            return {down: ctx.one(), alpha: coeff, beta: m}
-        return {down: ctx.one()}
-    up = shift(beta, i, "+")
-    if alpha.precedes(beta):
-        return {up: ctx.one()}
-    return {up: ctx.one(), alpha: -(m * ctx.r_pow(-(beta.height - 1))), beta: m}
+        s = shift(beta, i, "-")
+        k = beta.height - 2
+        on_g = s.precedes(alpha)
+        c = ctx.l_inv() * ctx.r_pow(-k) if on_g else ctx.l() * ctx.r_pow(k)
+    else:
+        s = shift(beta, i, "+")
+        k = beta.height - 1
+        on_g = alpha.precedes(beta)
+        c = ctx.r_pow(k if on_g else -k)
+    m, one = ctx.m(), ctx.one()
+    if on_g:
+        return {s: one, alpha: m * c, beta: -m}, {alpha: c}, {s: one}
+    return {s: one}, {alpha: c}, {s: one, alpha: -(m * c), beta: m}
 
 
 @dataclass
@@ -103,29 +72,26 @@ class LKMatrices:
         return len(self.G[0])
 
 
-def _action_matrix(n, i, action, roots, ctx):
-    """The dense matrix of the i-th generator whose column of beta is the
-    sparse map action(n, i, beta, ctx): root -> coefficient."""
-    rows = [{} for _ in roots]
-    for beta in roots:
-        col = beta.position() - 1
-        for root, coeff in action(n, i, beta, ctx).items():
-            rows[root.position() - 1][col] = coeff
-    return linalg.dense(rows, len(roots), ctx.zero())
-
-
 def build_matrices(n, spec=None):
     """Assemble G_i, E_i and G_i^{-1} column-by-column from the case
-    formulas, over the target field of the specialization."""
+    formulas, over the target field of the specialization: one pass over
+    the roots per i fills the sparse rows of all three."""
     if n < 3:
         raise ValueError("n must be at least 3")
     if spec is None:
         spec = Specialization.generic()
     ctx = spec.field()
     roots = all_roots(n)
-    G, E, Ginv = ([_action_matrix(n, i, action, roots, ctx)
-                   for i in range(1, n)]
-                  for action in (nu_action, nu_e_action, nu_inv_action))
+    G, E, Ginv = [], [], []
+    for i in range(1, n):
+        rows = [[{} for _ in roots] for _ in range(3)]
+        for beta in roots:
+            col = beta.position() - 1
+            for image, sparse in zip(nu_images(n, i, beta, ctx), rows):
+                for root, coeff in image.items():
+                    sparse[root.position() - 1][col] = coeff
+        for F, sparse in zip((G, E, Ginv), rows):
+            F.append(linalg.dense(sparse, len(roots), ctx.zero()))
     return LKMatrices(n=n, spec=spec, G=G, E=E, Ginv=Ginv)
 
 

@@ -39,67 +39,8 @@ class NonInvertibleError(ArithmeticError):
         self.gcd = gcd
 
 
-# ---------------------------------------------------------------------------
-# raw term-dict helpers (keys are (deg_l, deg_r) pairs, values nonzero)
-# ---------------------------------------------------------------------------
-
-def _d_add(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        if w is None:
-            out[k] = v
-        else:
-            w = w + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-    return out
-
-
-def _d_neg(a):
-    return {k: -v for k, v in a.items()}
-
-
-def _d_sub(a, b):
-    if not b:
-        return dict(a)
-    return _d_add(a, _d_neg(b))
-
-
-def _d_mul(a, b):
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for (da, ra), ca in a.items():
-        for (db, rb), cb in b.items():
-            k = (da + db, ra + rb)
-            v = out.get(k)
-            if v is None:
-                out[k] = ca * cb
-            else:
-                v = v + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-    return out
-
-
-def _d_scale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def _d_degl(a):
+    """The l-degree of a term dict keyed by (deg_l, deg_r); -1 when empty."""
     return max(k[0] for k in a) if a else -1
 
 
@@ -283,37 +224,6 @@ def _from_ll(ll):
     return out
 
 
-def _d_divexact(a, b):
-    """Exact division in Q[l, r]; raises ExactDivisionError otherwise.
-
-    The division runs on integer ladders: A = da * a, and B = db * b / cb
-    with cb the integer content of db * b, so that B is primitive.  By
-    Gauss's lemma an integer polynomial that a primitive one divides over Q
-    has an integer quotient, so B divides A in Z[r][l] exactly when b divides
-    a in Q[l, r], and a / b = (A / B) * db / (da * cb)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
-    A, da = _ladder(a)
-    B, db = _ladder(b)
-    cb = _z_content(c for row in B for c in row)
-    if cb != 1:
-        B = [[c // cb for c in row] for row in B]
-    q, den = _from_ll(_divexact(A, B, _ZR)), da * cb
-    return {k: _Q(c * db, den) for k, c in q.items()}
-
-
-def _d_gcd(a, b):
-    """gcd in Q[l, r], returned primitive over Z with positive lex-leading
-    coefficient."""
-    g = _from_ll(_prs_gcd(_ladder(a)[0], _ladder(b)[0], _ZR))
-    c = _z_content(g.values())
-    if g and g[max(g)] < 0:
-        c = -c
-    return {k: v // c for k, v in g.items()}
-
-
 def _power(base, k, one):
     """base^k for an integer k >= 0, by square-and-multiply."""
     result = one
@@ -386,20 +296,38 @@ class Poly2:
         return len(self.terms)
 
     # -- arithmetic ----------------------------------------------------------
+    # (a sum or product may leave zero coefficients; __init__ drops them)
     def __add__(self, other):
-        return Poly2(_d_add(self.terms, other.terms))
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            w = out.get(k)
+            out[k] = v if w is None else w + v
+        return Poly2(out)
 
     def __sub__(self, other):
-        return Poly2(_d_sub(self.terms, other.terms))
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            w = out.get(k)
+            out[k] = -v if w is None else w - v
+        return Poly2(out)
 
     def __neg__(self):
-        return Poly2(_d_neg(self.terms))
+        return Poly2({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        return Poly2(_d_mul(self.terms, other.terms))
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        for (da, ra), ca in a.items():
+            for (db, rb), cb in b.items():
+                k = (da + db, ra + rb)
+                v = out.get(k)
+                out[k] = ca * cb if v is None else v + ca * cb
+        return Poly2(out)
 
     def scale(self, c):
-        return Poly2(_d_scale(self.terms, c))
+        return Poly2({k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -407,10 +335,35 @@ class Poly2:
         return _power(self, k, Poly2.one())
 
     def divexact(self, other):
-        return Poly2(_d_divexact(self.terms, other.terms))
+        """Exact division in Q[l, r]; raises ExactDivisionError otherwise.
+
+        The division runs on integer ladders: A = da * self, and
+        B = db * other / cb with cb the integer content of db * other, so
+        that B is primitive.  By Gauss's lemma an integer polynomial that a
+        primitive one divides over Q has an integer quotient, so B divides A
+        in Z[r][l] exactly when other divides self in Q[l, r], and
+        self / other = (A / B) * db / (da * cb)."""
+        if not other.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self.terms:
+            return Poly2()
+        A, da = _ladder(self.terms)
+        B, db = _ladder(other.terms)
+        cb = _z_content(c for row in B for c in row)
+        if cb != 1:
+            B = [[c // cb for c in row] for row in B]
+        q, den = _from_ll(_divexact(A, B, _ZR)), da * cb
+        return Poly2({k: _Q(c * db, den) for k, c in q.items()})
 
     def gcd(self, other):
-        return Poly2(_d_gcd(self.terms, other.terms))
+        """gcd in Q[l, r], returned primitive over Z with positive
+        lex-leading coefficient."""
+        g = _from_ll(_prs_gcd(_ladder(self.terms)[0], _ladder(other.terms)[0],
+                              _ZR))
+        c = _z_content(g.values())
+        if g and g[max(g)] < 0:
+            c = -c
+        return Poly2({k: v // c for k, v in g.items()})
 
     def __eq__(self, other):
         return isinstance(other, Poly2) and self.terms == other.terms

@@ -229,7 +229,7 @@ CAPPED = [
     ["kernel", "--l", "r"], ["matrices"], ["sum-matrix"], ["verify"],
     ["check-vectors", "--case", "l=r"],
     ["rank-witness", "--l", "r", "--size", "1"],
-    ["det", "--l", "r^2"], ["locus"],
+    ["det", "--l", "r^2"], ["locus"], ["specht"],
 ]
 
 
@@ -238,7 +238,7 @@ CAPPED = [
 def test_exit_code_size_cap(runner, monkeypatch, args, n):
     # a new command cannot skip the cap unnoticed
     assert ({a[0] for a in CAPPED}
-            == set(main.commands) - {"specht", "info"})
+            == set(main.commands) - {"info"})
 
     def refuse(*args):
         raise AssertionError("a matrix was built")
@@ -264,6 +264,7 @@ COMPUTED_BY = [
      "lkbmw.spectral.check_named"),
     (["rank-witness", "--n", "4", "--l", "r", "--size", "1"],
      "lkbmw.spectral.rank_witness"),
+    (["specht", "--n", "3"], "lkbmw.specht.sym_dims"),
 ]
 
 
@@ -276,7 +277,7 @@ COMPUTED_BY = [
 def test_every_command_maps_every_error(runner, monkeypatch, args, target,
                                         error, code, kind):
     assert ({a[0] for a, _ in COMPUTED_BY}
-            == set(main.commands) - {"specht", "info"})
+            == set(main.commands) - {"info"})
 
     def fail(*args, **kwargs):
         raise error("boom")

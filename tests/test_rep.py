@@ -7,8 +7,8 @@ import json
 import pytest
 
 from lkbmw import linalg
-from lkbmw.rep import (build_matrices, build_matrices_recursive, nu_action,
-                       nu_e_action, nu_inv_action, verify_relations)
+from lkbmw.rep import (build_matrices, build_matrices_recursive, nu_images,
+                       verify_relations)
 from lkbmw.rings import FE_ZERO, FieldElement, Specialization, specialize
 from lkbmw.roots import RootIndex, all_roots
 
@@ -155,7 +155,7 @@ def test_det_of_every_five_strand_generator():
 # -- the case formulas pointwise ---------------------------------------------
 
 def test_nu_action_adjacent_example():
-    col = nu_action(3, 1, RootIndex(2, 3, 3), GEN)
+    col = nu_images(3, 1, RootIndex(2, 3, 3), GEN)[0]
     m = GEN.m()
     assert col == {RootIndex(1, 3, 3): GEN.one(),
                    RootIndex(1, 2, 3): m,
@@ -163,12 +163,12 @@ def test_nu_action_adjacent_example():
 
 
 def test_nu_action_disjoint_is_r():
-    col = nu_action(4, 3, RootIndex(1, 2, 4), GEN)
+    col = nu_images(4, 3, RootIndex(1, 2, 4), GEN)[0]
     assert col == {RootIndex(1, 2, 4): R}
 
 
 def test_nu_action_tall_column():
-    col = nu_action(5, 4, RootIndex(1, 5, 5), GEN)
+    col = nu_images(5, 4, RootIndex(1, 5, 5), GEN)[0]
     m = GEN.m()
     assert col == {RootIndex(1, 4, 5): GEN.one(),
                    RootIndex(4, 5, 5): m / (L * R ** 2),
@@ -176,9 +176,9 @@ def test_nu_action_tall_column():
 
 
 def test_nu_e_action_examples():
-    assert nu_e_action(3, 1, RootIndex(1, 2, 3), GEN) == {
+    assert nu_images(3, 1, RootIndex(1, 2, 3), GEN)[1] == {
         RootIndex(1, 2, 3): GEN.x()}
-    assert nu_e_action(3, 2, RootIndex(1, 3, 3), GEN) == {
+    assert nu_images(3, 2, RootIndex(1, 3, 3), GEN)[1] == {
         RootIndex(2, 3, 3): 1 / L}
 
 
@@ -193,11 +193,13 @@ def test_nu_inverse_inverts():
 
 
 def test_nu_inv_action_matches_matrix_inverse():
+    # against the block recursion, whose G_i^{-1} = G_i + m - m E_i does
+    # not read the case formulas
     n = 4
-    mats = build_matrices(n)
+    mats = build_matrices_recursive(n)
     for i in range(1, n):
         for beta in all_roots(n):
-            col = nu_inv_action(n, i, beta, GEN)
+            col = nu_images(n, i, beta, GEN)[2]
             dense = [GEN.zero()] * mats.size
             for root, c in col.items():
                 dense[root.position() - 1] = c
@@ -207,10 +209,25 @@ def test_nu_inv_action_matches_matrix_inverse():
 
 # -- recursive block builder --------------------------------------------------
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_recursive_builder_matches_closed_form(n):
-    a = build_matrices(n)
-    b = build_matrices_recursive(n)
+# the builders in two quotient fields: Q(r) at a rational l, and Q(r) modulo
+# Phi_20 at l = -r^3
+QUOTIENTS = [("(r^2+r+1)/(r-2)", None, ""), ("-r^3", 20, "-mod-Phi20")]
+
+
+@pytest.mark.parametrize("n, lval, modulus", [
+    pytest.param(4, None, None, id="4"),
+    pytest.param(5, None, None, id="5"),
+    *(pytest.param(n, lval, modulus, id="%d-l=%s%s" % (n, lval, tag))
+      for lval, modulus, tag in QUOTIENTS for n in (4, 5, 6))])
+def test_recursive_builder_matches_closed_form(n, lval, modulus):
+    if lval is None:
+        spec = None
+    elif modulus is None:
+        spec = Specialization.l_to(lval)
+    else:
+        spec = Specialization.l_to_mod(lval, modulus)
+    a = build_matrices(n, spec)
+    b = build_matrices_recursive(n, spec)
     for x, y in zip(a.G + a.E + a.Ginv, b.G + b.E + b.Ginv):
         assert x == y
 
