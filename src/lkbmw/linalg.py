@@ -18,7 +18,7 @@ import math
 import operator
 
 from .rings import (_Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _divexact,
-                    _prs_gcd, _u_mul, _u_sub, _zr_content)
+                    _from_ll, _prs_gcd, _u_mul, _u_sub, _zr_content)
 
 
 # -- sparse rows: no stored zero ---------------------------------------------
@@ -271,7 +271,8 @@ def kernel_basis_zr(M):
     R, pivots = rref_zr([row[::-1] for row in M])
     return _echelon_kernel(
         R, pivots, len(M[0]) if M else 0, FE_ZERO, FE_ONE,
-        lambda row, p, f: -FieldElement(_zr_poly(row[f]), _zr_poly(row[p])))
+        lambda row, p, f: -FieldElement(Poly2(_from_ll([row[f]])),
+                                        Poly2(_from_ll([row[p]]))))
 
 
 def _zdiv(a, g):
@@ -286,10 +287,6 @@ def _zr_primitive(row):
     if c in ([], [1], [-1]):
         return row
     return [_divexact(e, c, _Z) if e else e for e in row]
-
-
-def _zr_poly(v):
-    return Poly2({(0, i): c for i, c in enumerate(v) if c})
 
 
 def rank(M, ctx):

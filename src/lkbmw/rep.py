@@ -17,7 +17,7 @@ from .rings import Specialization
 from .roots import all_roots, inner2, num_roots, shift, simple_root
 
 
-def nu_images(n, i, beta, ctx):
+def nu_images(i, beta, ctx):
     """Images of x_beta under nu(g_i), nu(e_i) and nu(g_i^{-1}), as three
     sparse maps RootIndex -> coefficient.
 
@@ -87,7 +87,7 @@ def build_matrices(n, spec=None):
         rows = [[{} for _ in roots] for _ in range(3)]
         for beta in roots:
             col = beta.position() - 1
-            for image, sparse in zip(nu_images(n, i, beta, ctx), rows):
+            for image, sparse in zip(nu_images(i, beta, ctx), rows):
                 for root, coeff in image.items():
                     sparse[root.position() - 1][col] = coeff
         for F, sparse in zip((G, E, Ginv), rows):

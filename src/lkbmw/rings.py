@@ -45,7 +45,7 @@ def _d_degl(a):
 
 
 # dense univariate helpers: a list v with v[i] the coefficient of r^i --------
-# (ints, on the integer ladders below and in CycElement.inverse)
+# (ints, on the integer ladders below and in CycElement's product and inverse)
 
 def _u_trim(v):
     while v and not v[-1]:
@@ -76,12 +76,11 @@ def _u_mul(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    b = [(j, c) for j, c in enumerate(b) if c]
     for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = out[i + j] + ca * cb
+        if ca:
+            for j, cb in b:
+                out[i + j] += ca * cb
     return _u_trim(out)
 
 
@@ -747,8 +746,7 @@ class QuotientField:
 def _cyc(field, num, den):
     """The canonical CycElement num/den: trailing zeros trimmed, den > 0 and
     gcd(content(num), den) = 1, so that equality is structural."""
-    while num and not num[-1]:
-        num.pop()
+    _u_trim(num)
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
@@ -811,13 +809,8 @@ class CycElement:
             return self
         if not b or (a == (1,) and self.den == 1):
             return other
-        out = [0] * (len(a) + len(b) - 1)
-        b = [(j, c) for j, c in enumerate(b) if c]
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in b:
-                    out[i + j] += ca * cb
-        return _cyc(self.field, self.field._reduce(out), self.den * other.den)
+        return _cyc(self.field, self.field._reduce(_u_mul(a, b)),
+                    self.den * other.den)
 
     def inverse(self):
         if not self.num:
@@ -1144,7 +1137,7 @@ def parse_r_expression(text):
                 take()
                 sign = -1
             tok = take()
-            if tok is None or not tok.isdigit():
+            if not tok.isdigit():
                 raise ExpressionError("expected integer exponent")
             # compare digits first: int() refuses very long digit strings
             if len(tok.lstrip("0")) > 2 or int(tok) > MAX_R_DEGREE:
@@ -1160,8 +1153,6 @@ def parse_r_expression(text):
 
     def parse_atom():
         tok = take()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
         if tok == "(":
             nest(1)
             node = parse_expr()

@@ -49,13 +49,15 @@ def _clear_row(row):
     """(ladders, scale): the row of FieldElements times scale as integer
     ladders (rings._ladder's format), where scale is the lcm of the row's
     distinct entry denominators times the lcm of the coefficient
-    denominators that this product leaves."""
+    denominators that this product leaves.  The lcm grows by the reduced
+    d / lcm and each quotient is the reduced lcm / d, so both steps are
+    FieldElement reductions: degree shifts where d is a monomial."""
     dens = dict.fromkeys(e.den for e in row)
     lcm = Poly2.one()
     for d in dens:
-        lcm = lcm.divexact(lcm.gcd(d)) * d
+        lcm = lcm * FieldElement(d, lcm).num
     for d in dens:
-        dens[d] = lcm.divexact(d)
+        dens[d] = FieldElement(lcm, d).num
     cleared = [e.num * dens[e.den] for e in row]
     k = _den_lcm(c for p in cleared for c in p.terms.values())
     return [_ladder(p.scale(k).terms)[0] for p in cleared], lcm.scale(k)
@@ -212,11 +214,7 @@ class KernelReport:
         this report's specialization."""
         out = {}
         for case in ALL_CASES:
-            try:
-                vectors = named_vectors(self.n, case, at=self.spec)
-            except ValueError:
-                continue
-            for v in vectors:
+            for v in named_vectors(self.n, case, at=self.spec):
                 out[v.name] = self.contains(v.vector())
         return out
 

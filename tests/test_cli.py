@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from lkbmw import rings
 from lkbmw.cli import main
+from lkbmw.rep import build_matrices, verify_relations
 from lkbmw.spectral import SizeGuardError
 
 FIXTURES = (pathlib.Path(__file__).resolve().parent.parent
@@ -96,6 +97,7 @@ def test_exit_code_parse_error(runner):
     ["sum-matrix", "--n", "-3"],
     ["sum-matrix", "--n", "0"],
     ["sum-matrix", "--n", "2"],
+    ["specht", "--n", "0"],
     ["check-vectors", "--n", "2", "--case", "l=r"],
     ["check-vectors", "--n", "3", "--case", "l=r"],
     # a negative power of zero is a division by zero
@@ -344,6 +346,27 @@ def test_golden_mismatch_exits_two(runner, tmp_path):
     result = runner.invoke(main, ["locus", "--n", "3",
                                   "--golden", str(bad)])
     assert result.exit_code == 2
+
+
+def test_golden_missing_file_is_an_input_error(runner, tmp_path):
+    missing = tmp_path / "missing.json"
+    result = runner.invoke(main, ["locus", "--n", "3",
+                                  "--golden", str(missing)])
+    assert result.exit_code == 3
+    assert "error: golden: " in result.output
+
+
+def test_verify_text_names_the_failing_relations(runner, monkeypatch):
+    def one_failure(mats):
+        report = verify_relations(mats)
+        report.checks[1] = (report.checks[1][0], False)
+        return report
+
+    monkeypatch.setattr("lkbmw.cli.verify_relations", one_failure)
+    result = runner.invoke(main, ["verify", "--n", "3", "--output", "text"])
+    assert result.exit_code == 0
+    name = verify_relations(build_matrices(3)).checks[1][0]
+    assert result.output == "verify n=3 spec=generic: FAIL %s\n" % name
 
 
 def test_exit_code_degenerate_modulus(runner):

@@ -13,10 +13,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from lkbmw.linalg import (bareiss_det_poly, dense, identity, is_zero_vector,
-                          kernel_basis, kernel_basis_zr, mat_add, mat_mul,
-                          mat_scale, mat_sub, mat_vec, rank, rref, rref_zr,
-                          sparse)
+from lkbmw.linalg import (bareiss_det_poly, dense, det, identity,
+                          is_zero_vector, kernel_basis, kernel_basis_zr,
+                          mat_add, mat_mul, mat_scale, mat_sub, mat_vec, rank,
+                          rref, rref_zr, sparse)
 from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, Poly2, QuotientField,
                          Specialization, _ladder, cyclotomic)
 
@@ -129,6 +129,7 @@ def test_determinant_at_the_coefficient_bound():
 
 def test_empty_and_scalar_matrices():
     assert bareiss([]) == ONE
+    assert det([], GEN) == FE_ONE
     p = Poly2({(3, 2): -5, (1, 0): 3, (0, 1): 12})
     assert bareiss([[p]]) == p
     assert bareiss([[Poly2.zero()]]).is_zero()

@@ -155,7 +155,7 @@ def test_det_of_every_five_strand_generator():
 # -- the case formulas pointwise ---------------------------------------------
 
 def test_nu_action_adjacent_example():
-    col = nu_images(3, 1, RootIndex(2, 3, 3), GEN)[0]
+    col = nu_images(1, RootIndex(2, 3, 3), GEN)[0]
     m = GEN.m()
     assert col == {RootIndex(1, 3, 3): GEN.one(),
                    RootIndex(1, 2, 3): m,
@@ -163,12 +163,12 @@ def test_nu_action_adjacent_example():
 
 
 def test_nu_action_disjoint_is_r():
-    col = nu_images(4, 3, RootIndex(1, 2, 4), GEN)[0]
+    col = nu_images(3, RootIndex(1, 2, 4), GEN)[0]
     assert col == {RootIndex(1, 2, 4): R}
 
 
 def test_nu_action_tall_column():
-    col = nu_images(5, 4, RootIndex(1, 5, 5), GEN)[0]
+    col = nu_images(4, RootIndex(1, 5, 5), GEN)[0]
     m = GEN.m()
     assert col == {RootIndex(1, 4, 5): GEN.one(),
                    RootIndex(4, 5, 5): m / (L * R ** 2),
@@ -176,9 +176,9 @@ def test_nu_action_tall_column():
 
 
 def test_nu_e_action_examples():
-    assert nu_images(3, 1, RootIndex(1, 2, 3), GEN)[1] == {
+    assert nu_images(1, RootIndex(1, 2, 3), GEN)[1] == {
         RootIndex(1, 2, 3): GEN.x()}
-    assert nu_images(3, 2, RootIndex(1, 3, 3), GEN)[1] == {
+    assert nu_images(2, RootIndex(1, 3, 3), GEN)[1] == {
         RootIndex(2, 3, 3): 1 / L}
 
 
@@ -199,7 +199,7 @@ def test_nu_inv_action_matches_matrix_inverse():
     mats = build_matrices_recursive(n)
     for i in range(1, n):
         for beta in all_roots(n):
-            col = nu_images(n, i, beta, GEN)[2]
+            col = nu_images(i, beta, GEN)[2]
             dense = [GEN.zero()] * mats.size
             for root, c in col.items():
                 dense[root.position() - 1] = c
@@ -238,6 +238,12 @@ def test_recursive_corner_entry():
 
 
 # -- relations ----------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [build_matrices, build_matrices_recursive])
+def test_builders_refuse_two_strands(build):
+    with pytest.raises(ValueError):
+        build(2)
+
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_relations_generic(n):

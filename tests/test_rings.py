@@ -60,6 +60,23 @@ def test_division_by_zero_raises():
         FE_ONE / FE_ZERO
     with pytest.raises(ZeroDivisionError):
         FE_ZERO.inverse()
+    with pytest.raises(ZeroDivisionError):
+        Poly2.var_r().divexact(Poly2.zero())
+    with pytest.raises(ZeroDivisionError):
+        FieldElement(Poly2.var_r(), Poly2.zero())
+    with pytest.raises(ZeroDivisionError):
+        QuotientField(cyclotomic(8)).zero().inverse()
+
+
+def test_reprs_hash_and_int_operands():
+    fld = QuotientField(cyclotomic(8))
+    assert repr(Poly2.var_r()) == "Poly2(r)"
+    assert repr(R / 2) == "FieldElement(1/2*r)"
+    assert repr(1 - R) == "FieldElement(1 - r)"
+    assert repr(fld) == "QuotientField(1 + r^4)"
+    assert repr(fld.element([0, 1])) == "CycElement(r)"
+    assert repr(Specialization.l_to("r")) == "Specialization(l=r)"
+    assert hash(fld) == hash(QuotientField(cyclotomic(8)))
 
 
 def test_pole_error_names_denominator():
@@ -472,6 +489,20 @@ def test_cyclotomic_divides_r_m_minus_one_and_degree(m):
     assert phi.degree_r() == _totient(m)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Poly2.var_r() ** -1,
+    lambda: cyclotomic(0),
+    lambda: QuotientField(Poly2.var_l()),
+    lambda: QuotientField(Poly2.const(3)),
+    lambda: QuotientField(Poly2({(0, 1): 2, (0, 0): 1})),
+    lambda: Specialization(modulus=cyclotomic(8)),
+    lambda: Specialization(l_value=L),
+])
+def test_malformed_powers_moduli_and_specializations_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_modulus_with_non_integer_coefficients_is_refused():
     half = Poly2({(0, 2): 1, (0, 0): Fraction(1, 2)})
     with pytest.raises(ValueError):
@@ -691,7 +722,8 @@ def test_parser_examples():
 
 
 def test_parser_rejects_garbage():
-    for bad in ("l", "r +", "(r", "r^x", "q"):
+    for bad in ("l", "r +", "(r", "r^x", "q", "1/0", "r^r", "(r r", ")",
+                "r r"):
         with pytest.raises(ExpressionError):
             parse_r_expression(bad)
 

@@ -62,9 +62,21 @@ def test_shift_examples():
 
 
 def test_illegal_shift_names_inner_product():
-    with pytest.raises(IllegalShiftError) as err:
-        shift(RootIndex(3, 4, 5), 1, "-")
-    assert "0" in str(err.value)
+    for direction in ("-", "+"):
+        with pytest.raises(IllegalShiftError) as err:
+            shift(RootIndex(3, 4, 5), 1, direction)
+        assert "0" in str(err.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RootIndex(2, 1, 3),
+    lambda: root_at(0, 3),
+    lambda: inner2(RootIndex(1, 2, 3), 0),
+    lambda: shift(RootIndex(1, 2, 3), 1, "x"),
+])
+def test_out_of_range_arguments_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

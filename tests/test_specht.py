@@ -68,10 +68,14 @@ def test_dimension_gap_fails_at_eight_via_fourteen():
 
 
 def test_bad_partitions_rejected():
-    with pytest.raises(ValueError):
-        Partition((2, 3))
-    with pytest.raises(ValueError):
-        Partition((3, 0))
+    for parts in ((2, 3), (3, 0), ()):
+        with pytest.raises(ValueError):
+            Partition(parts)
+
+
+def test_partition_text_and_the_partitions_of_zero():
+    assert str(Partition((2, 1))) == "(2,1)"
+    assert partitions(0) == ((),)
 
 
 @pytest.mark.parametrize("family,n", [("M", 4), ("M", 5), ("N", 4), ("N", 6)])
@@ -128,3 +132,5 @@ def test_family_validation():
         seed_matrices("P", 6)
     with pytest.raises(ValueError):
         seed_matrices("Z", 5)
+    with pytest.raises(ValueError):
+        seed_matrices("M", 2)

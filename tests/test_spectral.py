@@ -12,7 +12,7 @@ import sympy
 from click.testing import CliRunner
 from sympy.polys.matrices import DomainMatrix
 
-from lkbmw import linalg
+from lkbmw import linalg, rings
 from lkbmw.cli import main
 from lkbmw.rings import FieldElement, Poly2, Specialization, _from_ll
 from lkbmw.roots import RootIndex
@@ -109,6 +109,16 @@ def test_locus_scalar_is_r_only():
 def test_kernel_refuses_generic():
     with pytest.raises(ValueError):
         kernel(4, Specialization.generic())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: det_T(2),
+    lambda: rank_witness(4, SPEC_R, 2, [1], [1, 2]),
+    lambda: det_Sn_formula_check(4),
+])
+def test_out_of_range_arguments_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 KNOWN_DIMS = [
@@ -545,6 +555,33 @@ def test_clear_row_matches_the_per_entry_fold():
                                    for q in p.terms.values()))
         for e, p in zip(row, cleared):
             assert p * e.den == e.num * scale
+
+
+@pytest.mark.parametrize("l_expr,monomial", [("1/r^7", True),
+                                             ("(r^2+r+1)/(r-2)", False)])
+def test_clear_row_reduces_through_field_elements(monkeypatch, l_expr,
+                                                   monomial):
+    """The lcm and the quotients of _clear_row are FieldElement
+    reductions: no Poly2.gcd or Poly2.divexact, and where every
+    denominator is a monomial only degree shifts, so no ladder gcd."""
+    rows = t_matrix(5, Specialization.l_to(l_expr)).entries
+    calls = {"gcd": 0, "divexact": 0, "_prs_gcd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("gcd", "divexact"):
+        monkeypatch.setattr(Poly2, name, counted(name, getattr(Poly2, name)))
+    monkeypatch.setattr(rings, "_prs_gcd",
+                        counted("_prs_gcd", rings._prs_gcd))
+    for row in rows:
+        _clear_row(row)
+    assert calls["gcd"] == calls["divexact"] == 0
+    if monomial:
+        assert calls["_prs_gcd"] == 0
 
 
 def _cyclotomic_points(n):

@@ -129,6 +129,13 @@ def test_direct_coeff_examples():
     assert xij_direct_coeff(5, 1, 3, RootIndex(4, 5, 5), GEN).is_zero()
 
 
+def test_pairs_outside_the_range_are_refused():
+    with pytest.raises(ValueError):
+        xij_by_conjugation(build_matrices(3), 2, 1)
+    with pytest.raises(ValueError):
+        xij_direct_coeff(3, 2, 2, RootIndex(1, 2, 3), GEN)
+
+
 def test_specialized_sum_matrix_diagonal():
     spec = Specialization.l_to(R)
     T = sum_matrix_direct(5, spec)
