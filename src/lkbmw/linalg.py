@@ -271,8 +271,19 @@ def kernel_basis_zr(M):
     R, pivots = rref_zr([row[::-1] for row in M])
     return _echelon_kernel(
         R, pivots, len(M[0]) if M else 0, FE_ZERO, FE_ONE,
-        lambda row, p, f: -FieldElement(Poly2(_from_ll([row[f]])),
-                                        Poly2(_from_ll([row[p]]))))
+        lambda row, p, f: -_zr_ratio(row[f], row[p]))
+
+
+def unit_pivot_rows_zr(R, pivots):
+    """The rows (R, pivots) of rref_zr, each divided by its pivot entry:
+    the rref over Q(r), with FieldElement entries."""
+    return [[FE_ONE if j == p else _zr_ratio(e, row[p]) if e else FE_ZERO
+             for j, e in enumerate(row)] for row, p in zip(R, pivots)]
+
+
+def _zr_ratio(a, b):
+    """a / b as a FieldElement, for a, b in Z[r] as dense int lists."""
+    return FieldElement(Poly2(_from_ll([a])), Poly2(_from_ll([b])))
 
 
 def _zdiv(a, g):

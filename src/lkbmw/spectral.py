@@ -7,10 +7,13 @@ computes the determinant exactly (over Q(l, r) and Q(r) fraction-free, on
 the rows cleared to integers; over a cyclotomic quotient field by
 elimination in the field), extracts the locus by dividing out each
 candidate l = +-r^k at which the numerator vanishes, computes each kernel
-in reduced echelon form by one elimination of T(n) with its columns reversed
-(over Q(r) fraction-free, on the same cleared rows; over a cyclotomic
-quotient field in the field), and carries a catalogue of the explicit
-spanning vectors with a membership checker.  Over Q(l, r) and Q(r) the
+in reduced echelon form, and carries a catalogue of the explicit spanning
+vectors with a membership checker.  Over Q(r) for n <= MAX_PINNED_N the
+kernel is read off the locus: 0 off its five roots, and at a root the span
+of the catalogue vectors once their rank reaches the root's order
+(locus_orders); every other kernel is one elimination of T(n) with its
+columns reversed (over Q(r) fraction-free, on the cleared rows; over a
+cyclotomic quotient field in the field).  Over Q(l, r) and Q(r) the
 determinant, the kernel, the membership check and rank_witness read one
 cached T(n) whose rows _clear_row cleared to integers, t_cleared.
 """
@@ -18,7 +21,7 @@ cached T(n) whose rows _clear_row cleared to integers, t_cleared.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, prod
 
 from . import linalg
@@ -193,6 +196,23 @@ def reducibility_locus(n, guard=6):
     return report
 
 
+# the largest n at which det T(n) is known to be the closed form of
+# locus_orders: criterion 5 checks it with reducibility_locus for n <= 6
+MAX_PINNED_N = 6
+
+
+def locus_orders(n):
+    """{(eps, k): e}: the exponents of the closed form, N = n(n-1)/2,
+
+      det T(n) = (r - 1/r)^-N l^-N  prod (l - eps r^k)^e
+
+    over the five roots l = eps r^k (e is 0 for l = r at n = 3).  The
+    orders sum to 2N, the l-degree of l^N det T(n)."""
+    N = n * (n - 1) // 2
+    return {(-1, 3): N - n + 1, (1, 1): N - n, (1, 3 - n): n - 1,
+            (-1, 3 - n): n - 1, (1, 3 - 2 * n): 1}
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -203,20 +223,32 @@ class KernelReport:
     spec: Specialization
     basis: list   # list of coordinate vectors (position order)
     dim: int
-    matrix: list = field(repr=False)  # T(n) as _annihilates reads it
+    verdicts: dict = None  # named_verdicts, once computed
 
     def contains(self, vector):
         """Exact membership: T(n) v = 0 characterises K(n)."""
-        return _annihilates(self.matrix, self.spec, vector)
+        return _annihilates(_t_read(self.n, self.spec), self.spec, vector)
 
     def named_verdicts(self):
         """Membership verdicts for every catalogued vector that lives at
-        this report's specialization."""
-        out = {}
-        for case in ALL_CASES:
-            for v in named_vectors(self.n, case, at=self.spec):
-                out[v.name] = self.contains(v.vector())
-        return out
+        this report's specialization, computed once."""
+        if self.verdicts is None:
+            self.verdicts = _catalogue(self.n, self.spec)[0]
+        return self.verdicts
+
+
+def _catalogue(n, spec):
+    """(verdicts, members): the membership verdict of every catalogued
+    vector at spec, by name, and the vectors that pass."""
+    T = _t_read(n, spec)
+    verdicts, members = {}, []
+    for case in ALL_CASES:
+        for v in named_vectors(n, case, at=spec):
+            vector = v.vector()
+            verdicts[v.name] = _annihilates(T, spec, vector)
+            if verdicts[v.name]:
+                members.append(vector)
+    return verdicts, members
 
 
 def _annihilates(T, spec, vector):
@@ -242,22 +274,44 @@ def _annihilates(T, spec, vector):
 
 
 def kernel(n, spec):
-    """Basis of K(n) = Ker T(n), in reduced echelon form, from one
-    elimination of T(n) with its columns reversed.  Over Q(r) the
-    elimination runs on the rows of T(n) cleared to Z[r]; over a quotient
-    field it runs on the field elements."""
+    """Basis of K(n) = Ker T(n), in reduced echelon form.
+
+    Over Q(r) for n <= MAX_PINNED_N, det T(n) is the closed form of
+    locus_orders, and dim K(n) is at most the order e of det T(n) at l
+    (a nullity never exceeds the order of vanishing of the determinant).
+    Off the five roots e = 0 (l is never 0), so K(n) = 0 and T(n) is not
+    built.  At a root, once the catalogue vectors that T(n) annihilates
+    reach rank e they span K(n), and their rref, each row divided by its
+    pivot, is its one reduced echelon basis.  Every other kernel (a
+    catalogue short of rank e, a larger n, a quotient field) is one
+    elimination of T(n) with its columns reversed: over Q(r) on the rows
+    cleared to Z[r], over a quotient field on the field elements."""
     if n < 3:
         raise ValueError("n must be at least 3")
     if spec is None or spec.is_generic:
         raise ValueError(
             "kernel over the generic bivariate field is not supported; "
             "specialize l first")
+    verdicts = None
+    if _over_qr(spec) and n <= MAX_PINNED_N:
+        e = next((e for (eps, k), e in locus_orders(n).items()
+                  if spec == _spec(eps, k)), 0)
+        if not e:
+            return KernelReport(n=n, spec=spec, basis=[], dim=0, verdicts={})
+        verdicts, members = _catalogue(n, spec)
+        R, pivots = linalg.rref_zr(
+            [[x[0] if x else x for x in _clear_row(v)[0]] for v in members])
+        if len(pivots) == e:
+            basis = linalg.unit_pivot_rows_zr(R, pivots)
+            return KernelReport(n=n, spec=spec, basis=basis, dim=e,
+                                verdicts=verdicts)
     T = _t_read(n, spec)
     if spec.is_quotient:
         basis = linalg.kernel_basis(T, spec.field())
     else:
         basis = linalg.kernel_basis_zr(T)
-    return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis), matrix=T)
+    return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis),
+                        verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,20 @@ def test_high_degree_l_modulo_phi_61_answers_at_once(runner, cmd):
         assert json.loads(result.output)["dim"] == 0
 
 
+@pytest.mark.parametrize("n", ["5", "6"])
+def test_high_degree_l_over_qr_answers_at_once(runner, n):
+    # l is off the locus, so for n <= 6 the kernel is 0 with no T(n);
+    # eliminating T(n) took 16 s at n = 5 and over 150 s at n = 6
+    start = time.perf_counter()
+    result = runner.invoke(main, ["kernel", "--n", n, "--l",
+                                  "(r^64+1)/(r^63-3)"])
+    assert time.perf_counter() - start < 10
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert (payload["dim"], payload["basis"], payload["named_verdicts"]) == (
+        0, [], {})
+
+
 @pytest.mark.parametrize("l_expr", ["(" * 1200 + "r" + ")" * 1200,
                                     "-" * 1200 + "r"])
 def test_exit_code_deep_nesting(runner, l_expr):

@@ -12,15 +12,17 @@ import sympy
 from click.testing import CliRunner
 from sympy.polys.matrices import DomainMatrix
 
-from lkbmw import linalg, rings
+from test_acceptance import LOCI as ACCEPTANCE_LOCI
+
+from lkbmw import linalg, rings, spectral
 from lkbmw.cli import main
 from lkbmw.rings import FieldElement, Poly2, Specialization, _from_ll
-from lkbmw.roots import RootIndex
+from lkbmw.roots import RootIndex, all_roots
 from lkbmw.spectral import (ALL_CASES, CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
-                            CASE_NM1_PLUS, CASE_ONE_DIM, SizeGuardError,
-                            _annihilates, _clear_row, _t_read,
-                            check_membership, check_named,
-                            det_Sn_formula_check, det_T, kernel,
+                            CASE_NM1_PLUS, CASE_ONE_DIM, MAX_PINNED_N,
+                            SizeGuardError, _annihilates, _clear_row, _spec,
+                            _t_read, check_membership, check_named,
+                            det_Sn_formula_check, det_T, kernel, locus_orders,
                             named_vectors, rank_witness, reducibility_locus,
                             submatrix_det, t_cleared, t_matrix)
 
@@ -49,12 +51,14 @@ def test_det_five_strands_nonzero_off_the_locus():
 def _closed_form_det(n):
     """The paper's locus as a closed form: with N = n(n-1)/2, det T(n) is
     (r - 1/r)^-N l^-N (l + r^3)^(N-n+1) (l - r)^(N-n) (l - r^(3-n))^(n-1)
-    (l + r^(3-n))^(n-1) (l - r^(3-2n))."""
+    (l + r^(3-n))^(n-1) (l - r^(3-2n)), the exponents of locus_orders."""
     N = n * (n - 1) // 2
-    l, rp = FieldElement.l(), FieldElement.r_pow
-    return ((R - 1 / R) ** -N * l ** -N * (l + rp(3)) ** (N - n + 1)
-            * (l - R) ** (N - n) * (l - rp(3 - n)) ** (n - 1)
-            * (l + rp(3 - n)) ** (n - 1) * (l - rp(3 - 2 * n)))
+    l = FieldElement.l()
+    out = (R - 1 / R) ** -N * l ** -N
+    for (eps, k), e in locus_orders(n).items():
+        root = FieldElement.r_pow(k)
+        out = out * (l - root if eps > 0 else l + root) ** e
+    return out
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -94,6 +98,7 @@ def test_locus_matches_the_solver_output(n):
     rep = reducibility_locus(n)
     got = {(f.eps, f.k): f.multiplicity for f in rep.factors}
     assert got == LOCI[n]
+    assert got == {root: e for root, e in locus_orders(n).items() if e}
     assert rep.residual.num.degree_l() == 0
     assert rep.reconstructs()
 
@@ -102,6 +107,52 @@ def test_locus_scalar_is_r_only():
     rep = reducibility_locus(4)
     assert not rep.scalar.has_l()
     assert rep.l_denominator_power == 6
+
+
+def test_locus_orders_are_the_table_criterion_5_proves():
+    """The kernel reads the orders of locus_orders up to MAX_PINNED_N, the
+    n up to which criterion 5 checks them against the solver."""
+    assert MAX_PINNED_N == max(ACCEPTANCE_LOCI)
+    for n, orders in ACCEPTANCE_LOCI.items():
+        assert locus_orders(n) == orders
+        assert sum(orders.values()) == n * (n - 1)
+
+
+def _l_parts(e):
+    """{a: c}: the entry e of T(n) over Q(l, r) as the sum of c l^a, each c
+    in Q(r); every denominator is l^d times a polynomial in r."""
+    d = e.den.degree_l()
+    assert all(a == d for a, _ in e.den.terms)
+    den_r = Poly2({(0, b): c for (_, b), c in e.den.terms.items()})
+    parts = {}
+    for (a, b), c in e.num.terms.items():
+        parts.setdefault(a - d, {})[(0, b)] = c
+    return {a: FieldElement(Poly2(t), den_r) for a, t in parts.items()}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_the_top_l_part_of_T_is_triangular(n):
+    """T(n) = l^-1 T_- + T_0 + l T_+ over Q(r).  An off-diagonal entry of
+    T_+ in row w_ij and column w_i'j' has i <= i' and j <= j', a partial
+    order on the roots, and its diagonal is -1/m = 1/(r - 1/r).  So
+    det T_+ = (r - 1/r)^-N, the top coefficient of the l-polynomial
+    l^N det T(n), is not 0, and neither is det T(n)."""
+    T = t_matrix(n, Specialization.generic()).entries
+    roots = all_roots(n)
+    for w, row in zip(roots, T):
+        for v, e in zip(roots, row):
+            parts = _l_parts(e) if e else {}
+            assert set(parts) <= {-1, 0, 1}
+            if v == w:
+                assert parts[1] == 1 / (R - 1 / R)
+            elif 1 in parts:
+                assert w.i <= v.i and w.j <= v.j, (w, v)
+    if n <= 5:
+        top = [[_l_parts(e).get(1, FieldElement.from_int(0)) if e else e
+                for e in row] for row in T]
+        N = n * (n - 1) // 2
+        assert (linalg.det(top, Specialization.generic().field())
+                == (R - 1 / R) ** -N)
 
 
 # -- kernels ------------------------------------------------------------------
@@ -400,6 +451,61 @@ def test_kernel_over_cyclotomic_fields_matches_the_field_oracle(n, l_expr):
     assert kernel(n, spec).basis == _oracle_kernel(n, spec)
 
 
+PINNED_L = ["1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)"]
+
+
+def test_kernel_routes_over_qr_match_elimination(monkeypatch):
+    """Over Q(r) at n <= MAX_PINNED_N: off the five roots (r^2, the pinned
+    l, and l = r at n = 3, where its order is 0) the kernel is 0 and T(n) is
+    neither built nor eliminated; at a root whose verified catalogue reaches
+    its order the kernel is the catalogue's rref, with no elimination of
+    T(n); only at -r^3 for n = 5, 6, where the catalogue has rank n - 1
+    against the order N - n + 1, does kernel_basis_zr run.  Every basis
+    equals the elimination oracle's, and the verdicts the ones
+    check_membership gives."""
+    oracle = linalg.kernel_basis_zr
+    calls = dict.fromkeys(["kernel_basis_zr", "rref_zr", "sum_matrix_direct"],
+                          0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("kernel_basis_zr", "rref_zr"):
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    monkeypatch.setattr(spectral, "sum_matrix_direct",
+                        counted("sum_matrix_direct",
+                                spectral.sum_matrix_direct))
+    routes = {}
+    for n in range(3, MAX_PINNED_N + 1):
+        specs = ([_spec(eps, k) for eps, k in locus_orders(n)]
+                 + [Specialization.l_to(l) for l in ["r^2"] + PINNED_L])
+        for spec in specs:
+            t_matrix.cache_clear()
+            t_cleared.cache_clear()
+            for name in calls:
+                calls[name] = 0
+            rep = kernel(n, spec)
+            if calls["kernel_basis_zr"]:
+                route = "elimination"
+            elif calls["rref_zr"]:
+                route = "catalogue"
+                assert calls["rref_zr"] == 1
+            else:
+                route = "none"
+                assert calls["sum_matrix_direct"] == 0
+            routes.setdefault(route, []).append((n, str(spec)))
+            assert rep.basis == oracle(_t_read(n, spec)), (n, spec)
+            assert rep.named_verdicts() == {
+                v.name: check_membership(v) for case in ALL_CASES
+                for v in named_vectors(n, case, at=spec)}
+    assert routes["elimination"] == [(5, "l=-r^3"), (6, "l=-r^3")]
+    assert len(routes["catalogue"]) == 17
+    assert len(routes["none"]) == 4 * 5 + 1
+
+
 def test_kernel_matches_sympy_nullspace():
     spec = Specialization.l_to("1/r^5")
     field = sympy.QQ.frac_field(_SR)
@@ -415,9 +521,6 @@ def test_kernel_matches_sympy_nullspace():
 
 
 # -- one cleared T(n) over Z[r]: membership and its shortcuts -----------------
-
-PINNED_L = ["1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)"]
-
 
 @pytest.mark.parametrize(
     "n,l_expr",
