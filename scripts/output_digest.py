@@ -11,7 +11,9 @@ The list holds:
   Phi_12 and n = 4 modulo Phi_16, and `kernel` and `det` at n = 5 with the
   high-degree l = (r^64+1)/(r^63-3) modulo Phi_61, and `det` over Q(r)
   at l = r^2 for n = 6, 8 and at l = (r^2+r+1)/(r-2) for n = 6, where
-  the determinant's digit width is wider than at n <= 5;
+  the determinant's digit width is wider than at n <= 5, and `kernel` over
+  Q(r) at the kernel workloads' six points (the five roots of the locus
+  and l = r^2) for n = 7..12, the sizes beyond the benchmark's;
 - every other command (`matrices`, `sum-matrix`, `locus`, `rank-witness`,
   `specht`, `info`) at small n, and each with `--output text`;
 - `check-vectors` for every case at n = 3..8, so every catalogued vector's
@@ -46,7 +48,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, kernel_points  # noqa: E402
 
 EXTRA_POINTS = ["1+r^2", "1/(r^2+1)", "(r^2+r+1)/(r-2)", "3/(2*r+5)"]
 
@@ -102,6 +104,8 @@ def _workloads():
     ops += [["det", "--n", "6", "--l", "r^2"],
             ["det", "--n", "8", "--l", "r^2"],
             ["det", "--n", "6", "--l", "(r^2+r+1)/(r-2)"]]
+    ops += [["kernel", "--n", str(n), "--l", l]
+            for n in range(7, 13) for l in kernel_points(n)]
     return ops
 
 

@@ -236,7 +236,9 @@ def rref_zr(M):
     entry a in row i, row i becomes (p/g) row_i - (a/g) row_k for
     g = gcd(p, a), and is then divided by its content.  Keeping every row
     primitive holds the entries to the size of the reduced echelon form's
-    numerators and denominators; without it they grow like minors.
+    numerators and denominators; without it they grow like minors.  Only
+    the columns where row k is nonzero take a product with a/g, and no
+    zero entry, nor any entry when p/g is 1, is multiplied by p/g.
     """
     A = [_zr_primitive(row) for row in M]
     nrows = len(A)
@@ -250,14 +252,18 @@ def rref_zr(M):
         A[rank], A[piv] = A[piv], A[rank]
         prow = A[rank]
         p = prow[col]
+        support = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(nrows):
             a = A[i][col]
             if i == rank or not a:
                 continue
             g = _prs_gcd(p, a, _Z)
             pg, ag = _zdiv(p, g), _zdiv(a, g)
-            A[i] = _zr_primitive([_u_sub(_u_mul(pg, x), _u_mul(ag, y))
-                                  for x, y in zip(A[i], prow)])
+            row = (list(A[i]) if pg == [1]
+                   else [_u_mul(pg, x) if x else x for x in A[i]])
+            for j, y in support:
+                row[j] = _u_sub(row[j], _u_mul(ag, y))
+            A[i] = _zr_primitive(row)
         pivots.append(col)
         rank += 1
         if rank == nrows:

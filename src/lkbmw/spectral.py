@@ -8,14 +8,15 @@ the rows cleared to integers; over a cyclotomic quotient field by
 elimination in the field), extracts the locus by dividing out each
 candidate l = +-r^k at which the numerator vanishes, computes each kernel
 in reduced echelon form, and carries a catalogue of the explicit spanning
-vectors with a membership checker.  Over Q(r) for n <= MAX_PINNED_N the
-kernel is read off the locus: 0 off its five roots, and at a root the span
-of the catalogue vectors once their rank reaches the root's order
-(locus_orders); every other kernel is one elimination of T(n) with its
-columns reversed (over Q(r) fraction-free, on the cleared rows; over a
-cyclotomic quotient field in the field).  Over Q(l, r) and Q(r) the
-determinant, the kernel, the membership check and rank_witness read one
-cached T(n) whose rows _clear_row cleared to integers, t_cleared.
+vectors with a membership checker.  Over Q(r), for every n <=
+MAX_PINNED_N, the kernel is read off the locus: 0 off its five roots, and
+at a root the span of the verified catalogue vectors, which at l = -r^3
+include the ladders of the smaller sizes embedded in the n-strand space;
+their rank is the root's order (locus_orders).  Over a cyclotomic quotient
+field the kernel is one elimination of T(n) in the field, with its columns
+reversed.  Over Q(l, r) and Q(r) the determinant, the kernel, the
+membership check and rank_witness read one cached T(n) whose rows
+_clear_row cleared to integers, t_cleared.
 """
 
 from __future__ import annotations
@@ -197,8 +198,9 @@ def reducibility_locus(n, guard=6):
 
 
 # the largest n at which det T(n) is known to be the closed form of
-# locus_orders: criterion 5 checks it with reducibility_locus for n <= 6
-MAX_PINNED_N = 6
+# locus_orders, cli.MAX_N: criterion 12 proves it (the spanning families'
+# ranks at the five roots sum to 2N, the l-degree of l^N det T(n))
+MAX_PINNED_N = 12
 
 
 def locus_orders(n):
@@ -239,7 +241,10 @@ class KernelReport:
 
 def _catalogue(n, spec):
     """(verdicts, members): the membership verdict of every catalogued
-    vector at spec, by name, and the vectors that pass."""
+    vector at spec, by name, and the vectors that pass.  Over Q(r) at
+    l = -r^3 the members also hold the ladders of every smaller size
+    3 <= t < n that pass, ladder_coords(n, ctx, k, t), which are not
+    named."""
     T = _t_read(n, spec)
     verdicts, members = {}, []
     for case in ALL_CASES:
@@ -248,7 +253,18 @@ def _catalogue(n, spec):
             verdicts[v.name] = _annihilates(T, spec, vector)
             if verdicts[v.name]:
                 members.append(vector)
+    if spec == _spec(-1, 3):
+        ctx = spec.field()
+        ladders = (_dense(n, ctx, ladder_coords(n, ctx, k, t))
+                   for t in range(3, n) for k in range(1, t - 1))
+        members += [v for v in ladders if _annihilates(T, spec, v)]
     return verdicts, members
+
+
+def _rref_qr(vectors):
+    """rref_zr of vectors over Q(r), each cleared to Z[r] by _clear_row."""
+    return linalg.rref_zr(
+        [[x[0] if x else x for x in _clear_row(v)[0]] for v in vectors])
 
 
 def _annihilates(T, spec, vector):
@@ -276,41 +292,40 @@ def _annihilates(T, spec, vector):
 def kernel(n, spec):
     """Basis of K(n) = Ker T(n), in reduced echelon form.
 
-    Over Q(r) for n <= MAX_PINNED_N, det T(n) is the closed form of
+    Over Q(r), n <= MAX_PINNED_N, so det T(n) is the closed form of
     locus_orders, and dim K(n) is at most the order e of det T(n) at l
     (a nullity never exceeds the order of vanishing of the determinant).
     Off the five roots e = 0 (l is never 0), so K(n) = 0 and T(n) is not
-    built.  At a root, once the catalogue vectors that T(n) annihilates
-    reach rank e they span K(n), and their rref, each row divided by its
-    pivot, is its one reduced echelon basis.  Every other kernel (a
-    catalogue short of rank e, a larger n, a quotient field) is one
-    elimination of T(n) with its columns reversed: over Q(r) on the rows
-    cleared to Z[r], over a quotient field on the field elements."""
+    built.  At a root the vectors of _catalogue that T(n) annihilates have
+    rank e (criterion 12), so they span K(n), and their rref, each row
+    divided by its pivot, is its one reduced echelon basis; any other rank
+    breaks that proof and raises ArithmeticError.  Over a quotient field
+    the kernel is one elimination of T(n) in the field with its columns
+    reversed."""
     if n < 3:
         raise ValueError("n must be at least 3")
     if spec is None or spec.is_generic:
         raise ValueError(
             "kernel over the generic bivariate field is not supported; "
             "specialize l first")
-    verdicts = None
-    if _over_qr(spec) and n <= MAX_PINNED_N:
-        e = next((e for (eps, k), e in locus_orders(n).items()
-                  if spec == _spec(eps, k)), 0)
-        if not e:
-            return KernelReport(n=n, spec=spec, basis=[], dim=0, verdicts={})
-        verdicts, members = _catalogue(n, spec)
-        R, pivots = linalg.rref_zr(
-            [[x[0] if x else x for x in _clear_row(v)[0]] for v in members])
-        if len(pivots) == e:
-            basis = linalg.unit_pivot_rows_zr(R, pivots)
-            return KernelReport(n=n, spec=spec, basis=basis, dim=e,
-                                verdicts=verdicts)
-    T = _t_read(n, spec)
     if spec.is_quotient:
-        basis = linalg.kernel_basis(T, spec.field())
-    else:
-        basis = linalg.kernel_basis_zr(T)
-    return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis),
+        basis = linalg.kernel_basis(_t_read(n, spec), spec.field())
+        return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis))
+    if n > MAX_PINNED_N:
+        raise ValueError("the kernel over Q(r) is known for n <= %d only"
+                         % MAX_PINNED_N)
+    e = next((e for (eps, k), e in locus_orders(n).items()
+              if spec == _spec(eps, k)), 0)
+    if not e:
+        return KernelReport(n=n, spec=spec, basis=[], dim=0, verdicts={})
+    verdicts, members = _catalogue(n, spec)
+    R, pivots = _rref_qr(members)
+    if len(pivots) != e:
+        raise ArithmeticError(
+            "the kernel vectors at %s have rank %d, not the order %d of "
+            "det T(%d) there" % (spec, len(pivots), e, n))
+    return KernelReport(n=n, spec=spec,
+                        basis=linalg.unit_pivot_rows_zr(R, pivots), dim=e,
                         verdicts=verdicts)
 
 
@@ -327,11 +342,15 @@ class NamedVector:
     coords: dict  # RootIndex -> coefficient in the field of spec
 
     def vector(self):
-        ctx = self.spec.field()
-        v = [ctx.zero()] * num_roots(self.n)
-        for root, c in self.coords.items():
-            v[root.position() - 1] = c
-        return v
+        return _dense(self.n, self.spec.field(), self.coords)
+
+
+def _dense(n, ctx, coords):
+    """The coordinate vector, in position order, of {RootIndex: entry}."""
+    v = [ctx.zero()] * num_roots(n)
+    for root, c in coords.items():
+        v[root.position() - 1] = c
+    return v
 
 
 def check_membership(v):
@@ -414,11 +433,13 @@ def tower_coords(n, ctx, t, k):
     return out
 
 
-def ladder_coords(n, ctx, k):
-    """w_{k+1,n} - r w_{k,n} + r^{n-k} w_{k,k+1}, in the kernel at l=-r^3."""
-    return {_w(k + 1, n, n): ctx.one(),
-            _w(k, n, n): -ctx.r_pow(1),
-            _w(k, k + 1, n): ctx.r_pow(n - k)}
+def ladder_coords(n, ctx, k, t):
+    """w_{k+1,t} - r w_{k,t} + r^{t-k} w_{k,k+1}, in the kernel at l=-r^3
+    (3 <= t <= n, 1 <= k <= t-2): the ladder of K(t) read inside the
+    n-strand space."""
+    return {_w(k + 1, t, n): ctx.one(),
+            _w(k, t, n): -ctx.r_pow(1),
+            _w(k, k + 1, n): ctx.r_pow(t - k)}
 
 
 # the vectors of a single size, (case, n) -> [(name, {(i, j): {k: c}})],
@@ -542,7 +563,7 @@ def named_vectors(n, case, at=None):
                 emit("tower%d.%d(%d)" % (t, k, n), spec, tower_coords, t, k)
     if case in (CASE_L_NEG_R3, CASE_ROOT_OF_UNITY) and n > 3:
         for k in range(1, n - 1):
-            emit("ladder%d(%d)" % (k, n), spec, ladder_coords, k)
+            emit("ladder%d(%d)" % (k, n), spec, ladder_coords, k, n)
     return out
 
 

@@ -18,9 +18,10 @@ from lkbmw.rep import build_matrices, build_matrices_recursive, verify_relations
 from lkbmw.rings import FieldElement, Specialization
 from lkbmw.spectral import (CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
                             CASE_NM1_PLUS, CASE_ONE_DIM, CASE_ROOT_OF_UNITY,
-                            check_membership, det_Sn_formula_check, det_T,
-                            kernel, named_vectors, reducibility_locus,
-                            submatrix_det, t_matrix)
+                            MAX_PINNED_N, _catalogue, _rref_qr, _spec,
+                            _t_read, check_membership, det_Sn_formula_check,
+                            det_T, kernel, locus_orders, named_vectors,
+                            reducibility_locus, submatrix_det, t_matrix)
 from lkbmw.specht import (dim_gap_check, gap_violations, hook_dim, sym_dims,
                           verify_seed_matrices)
 from lkbmw.xij import sum_matrix, xij_by_conjugation, xij_direct
@@ -225,3 +226,30 @@ def test_criterion_11_point_checks_beyond_desk_scale():
     # one direct determinant as corroboration at the off-locus point
     ok &= not det_T(7, Specialization.l_to(R ** 2)).is_zero()
     _report(11, "point probes of the locus at n=7,8", ok)
+
+
+def test_criterion_12_locus_certificate():
+    """det T(n) is the closed form of locus_orders for n <= MAX_PINNED_N.
+    l^N det T(n) is a polynomial in l of degree exactly 2N, since its top
+    coefficient det T_+ is not 0 (test_the_top_l_part_of_T_is_triangular),
+    and its order at a root is at least dim K(n) there.  Route a: at each
+    of the five roots the verified spanning family (the catalogue, with the
+    embedded ladders at -r^3) has exact rank locus_orders(n)[root], and the
+    ranks sum to 2N = n(n-1), so every bound is tight.  Route b, on its
+    own: eliminating T(n) gives the same kernel dimensions at n = 7, 8."""
+    ok = True
+    t0 = time.time()
+    for n in range(3, MAX_PINNED_N + 1):
+        ranks = {root: len(_rref_qr(_catalogue(n, _spec(*root))[1])[1])
+                 for root in locus_orders(n)}
+        ok &= ranks == locus_orders(n)
+        ok &= sum(ranks.values()) == n * (n - 1)
+    route_a = time.time() - t0
+    for n in (7, 8):
+        for root, e in locus_orders(n).items():
+            ok &= len(linalg.kernel_basis_zr(_t_read(n, _spec(*root)))) == e
+    elapsed = time.time() - t0
+    ok &= elapsed < 120
+    _report(12, "locus certificate: family ranks n=3..%d, kernels n=7,8"
+            % MAX_PINNED_N, ok, "(route a %.1fs, all %.1fs)"
+            % (route_a, elapsed))

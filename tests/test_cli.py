@@ -209,10 +209,11 @@ def test_high_degree_l_modulo_phi_61_answers_at_once(runner, cmd):
         assert json.loads(result.output)["dim"] == 0
 
 
-@pytest.mark.parametrize("n", ["5", "6"])
+@pytest.mark.parametrize("n", ["5", "6", "7", "12"])
 def test_high_degree_l_over_qr_answers_at_once(runner, n):
-    # l is off the locus, so for n <= 6 the kernel is 0 with no T(n);
-    # eliminating T(n) took 16 s at n = 5 and over 150 s at n = 6
+    # l is off the locus, so for every n <= 12 the kernel is 0 with no
+    # T(n); eliminating T(n) took 16 s at n = 5, over 150 s at n = 6 and
+    # over 60 s at n = 7
     start = time.perf_counter()
     result = runner.invoke(main, ["kernel", "--n", n, "--l",
                                   "(r^64+1)/(r^63-3)"])

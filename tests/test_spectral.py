@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from test_acceptance import LOCI as ACCEPTANCE_LOCI
 
 from lkbmw import linalg, rings, spectral
-from lkbmw.cli import main
+from lkbmw.cli import MAX_N, main
 from lkbmw.rings import FieldElement, Poly2, Specialization, _from_ll
 from lkbmw.roots import RootIndex, all_roots
 from lkbmw.spectral import (ALL_CASES, CASE_L_NEG_R3, CASE_L_R, CASE_NM1_MINUS,
@@ -110,9 +110,8 @@ def test_locus_scalar_is_r_only():
 
 
 def test_locus_orders_are_the_table_criterion_5_proves():
-    """The kernel reads the orders of locus_orders up to MAX_PINNED_N, the
-    n up to which criterion 5 checks them against the solver."""
-    assert MAX_PINNED_N == max(ACCEPTANCE_LOCI)
+    """locus_orders is the table that criterion 5 checks against the solver
+    for n <= 6; criterion 12 proves it up to MAX_PINNED_N."""
     for n, orders in ACCEPTANCE_LOCI.items():
         assert locus_orders(n) == orders
         assert sum(orders.values()) == n * (n - 1)
@@ -130,7 +129,7 @@ def _l_parts(e):
     return {a: FieldElement(Poly2(t), den_r) for a, t in parts.items()}
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, MAX_PINNED_N + 1))
 def test_the_top_l_part_of_T_is_triangular(n):
     """T(n) = l^-1 T_- + T_0 + l T_+ over Q(r).  An off-diagonal entry of
     T_+ in row w_ij and column w_i'j' has i <= i' and j <= j', a partial
@@ -455,14 +454,12 @@ PINNED_L = ["1+r^2", "1/(r^2+1)", "3/(2*r+5)", "(r^2+r+1)/(r-2)"]
 
 
 def test_kernel_routes_over_qr_match_elimination(monkeypatch):
-    """Over Q(r) at n <= MAX_PINNED_N: off the five roots (r^2, the pinned
-    l, and l = r at n = 3, where its order is 0) the kernel is 0 and T(n) is
-    neither built nor eliminated; at a root whose verified catalogue reaches
-    its order the kernel is the catalogue's rref, with no elimination of
-    T(n); only at -r^3 for n = 5, 6, where the catalogue has rank n - 1
-    against the order N - n + 1, does kernel_basis_zr run.  Every basis
-    equals the elimination oracle's, and the verdicts the ones
-    check_membership gives."""
+    """Over Q(r) for n = 3..8, and at n = 12 for l = 1/r^21: off the five
+    roots (r^2, the pinned l, and l = r at n = 3, where its order is 0) the
+    kernel is 0 and T(n) is neither built nor eliminated; at a root it is
+    the rref of the verified catalogue, with the embedded ladders at -r^3,
+    and T(n) is never eliminated.  Every basis equals the elimination
+    oracle's, and the verdicts the ones check_membership gives."""
     oracle = linalg.kernel_basis_zr
     calls = dict.fromkeys(["kernel_basis_zr", "rref_zr", "sum_matrix_direct"],
                           0)
@@ -479,31 +476,58 @@ def test_kernel_routes_over_qr_match_elimination(monkeypatch):
                         counted("sum_matrix_direct",
                                 spectral.sum_matrix_direct))
     routes = {}
-    for n in range(3, MAX_PINNED_N + 1):
-        specs = ([_spec(eps, k) for eps, k in locus_orders(n)]
-                 + [Specialization.l_to(l) for l in ["r^2"] + PINNED_L])
-        for spec in specs:
-            t_matrix.cache_clear()
-            t_cleared.cache_clear()
-            for name in calls:
-                calls[name] = 0
-            rep = kernel(n, spec)
-            if calls["kernel_basis_zr"]:
-                route = "elimination"
-            elif calls["rref_zr"]:
-                route = "catalogue"
-                assert calls["rref_zr"] == 1
-            else:
-                route = "none"
-                assert calls["sum_matrix_direct"] == 0
-            routes.setdefault(route, []).append((n, str(spec)))
-            assert rep.basis == oracle(_t_read(n, spec)), (n, spec)
-            assert rep.named_verdicts() == {
-                v.name: check_membership(v) for case in ALL_CASES
-                for v in named_vectors(n, case, at=spec)}
-    assert routes["elimination"] == [(5, "l=-r^3"), (6, "l=-r^3")]
-    assert len(routes["catalogue"]) == 17
-    assert len(routes["none"]) == 4 * 5 + 1
+    points = [(n, spec) for n in range(3, 9)
+              for spec in [_spec(eps, k) for eps, k in locus_orders(n)]
+              + [Specialization.l_to(l) for l in ["r^2"] + PINNED_L]]
+    for n, spec in points + [(12, _spec(1, -21))]:
+        t_matrix.cache_clear()
+        t_cleared.cache_clear()
+        for name in calls:
+            calls[name] = 0
+        rep = kernel(n, spec)
+        if calls["kernel_basis_zr"]:
+            route = "elimination"
+        elif calls["rref_zr"]:
+            route = "catalogue"
+            assert calls["rref_zr"] == 1
+        else:
+            route = "none"
+            assert calls["sum_matrix_direct"] == 0
+        routes.setdefault(route, []).append((n, str(spec)))
+        assert rep.basis == oracle(_t_read(n, spec)), (n, spec)
+        assert rep.named_verdicts() == {
+            v.name: check_membership(v) for case in ALL_CASES
+            for v in named_vectors(n, case, at=spec)}
+    assert "elimination" not in routes
+    # l = r at n = 3 has order 0, and n = 12 adds one root
+    assert len(routes["catalogue"]) == 6 * 5
+    assert len(routes["none"]) == 6 * 5 + 1
+
+
+def test_the_kernel_over_qr_is_pinned_at_every_n_lk_accepts():
+    assert MAX_PINNED_N >= MAX_N
+
+
+def test_the_kernel_over_qr_refuses_n_past_the_certificate():
+    with pytest.raises(ValueError):
+        kernel(MAX_PINNED_N + 1, Specialization.l_to("r"))
+
+
+@pytest.mark.parametrize("n,eps,k", [(6, 1, -3), (8, 1, -5), (8, -1, -5),
+                                     (8, 1, -13)])
+def test_a_catalogue_short_of_the_order_raises(monkeypatch, n, eps, k):
+    """A spanning family short of the root's order breaks the proof that
+    its rref is K(n); kernel raises rather than return a smaller basis.
+    At these roots the family is exactly as large as the order."""
+    catalogue = spectral._catalogue
+
+    def drop_one(n, spec):
+        verdicts, members = catalogue(n, spec)
+        return verdicts, members[1:]
+
+    monkeypatch.setattr(spectral, "_catalogue", drop_one)
+    with pytest.raises(ArithmeticError):
+        kernel(n, _spec(eps, k))
 
 
 def test_kernel_matches_sympy_nullspace():
