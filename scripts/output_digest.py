@@ -14,6 +14,12 @@ The list holds:
   the determinant's digit width is wider than at n <= 5, and `kernel` over
   Q(r) at the kernel workloads' six points (the five roots of the locus
   and l = r^2) for n = 7..12, the sizes beyond the benchmark's;
+- `kernel` and `det` modulo Phi_M where two roots of the locus collide:
+  where their kernels are glued (n = 6 at l = -1/r^3 modulo Phi_8, n = 7
+  at 1/r^11 modulo Phi_3, n = 5 at 1/r^7 modulo Phi_5) and where they are
+  not (n = 4 at 1/r^5 modulo Phi_16, n = 8 at -r^3 modulo Phi_32), and at
+  n = 9 modulo Phi_61 at the root 1/r^15 and at the high-degree l above,
+  which is off the locus there;
 - every other command (`matrices`, `sum-matrix`, `locus`, `rank-witness`,
   `specht`, `info`) at small n, and each with `--output text`;
 - `check-vectors` for every case at n = 3..8, so every catalogued vector's
@@ -106,6 +112,12 @@ def _workloads():
             ["det", "--n", "6", "--l", "(r^2+r+1)/(r-2)"]]
     ops += [["kernel", "--n", str(n), "--l", l]
             for n in range(7, 13) for l in kernel_points(n)]
+    ops += [[cmd, "--n", str(n), "--l", l, "--modulus", "cyclotomic:%d" % m]
+            for n, l, m in ((6, "-1/r^3", 8), (7, "1/r^11", 3),
+                            (5, "1/r^7", 5), (4, "1/r^5", 16),
+                            (8, "-r^3", 32), (9, "1/r^15", 61),
+                            (9, "(r^64+1)/(r^63-3)", 61))
+            for cmd in ("kernel", "det")]
     return ops
 
 

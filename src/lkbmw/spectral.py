@@ -3,20 +3,21 @@
 T(n) is the matrix of the sum of all nu(X_ij); its determinant as a function
 of l cuts out the reducibility locus, and its kernel K(n) at a specialized l
 is the intersection of the kernels of all the X_ij operators.  This module
-computes the determinant exactly (over Q(l, r) and Q(r) fraction-free, on
-the rows cleared to integers; over a cyclotomic quotient field by
-elimination in the field), extracts the locus by dividing out each
+computes the determinant exactly over Q(l, r) and Q(r) (fraction-free, on
+the rows cleared to integers), extracts the locus by dividing out each
 candidate l = +-r^k at which the numerator vanishes, computes each kernel
 in reduced echelon form, and carries a catalogue of the explicit spanning
-vectors with a membership checker.  Over Q(r), for every n <=
-MAX_PINNED_N, the kernel is read off the locus: 0 off its five roots, and
-at a root the span of the verified catalogue vectors, which at l = -r^3
-include the ladders of the smaller sizes embedded in the n-strand space;
-their rank is the root's order (locus_orders).  Over a cyclotomic quotient
-field the kernel is one elimination of T(n) in the field, with its columns
-reversed.  Over Q(l, r) and Q(r) the determinant, the kernel, the
-membership check and rank_witness read one cached T(n) whose rows
-_clear_row cleared to integers, t_cleared.
+vectors with a membership checker.  For n <= MAX_PINNED_N det T(n) is
+the closed form of locus_orders, so modulo Phi_M the determinant is that
+form evaluated in the field, and in every specialized field the kernel is
+0 where l equals none of the five roots and otherwise the span of the
+verified catalogue vectors of the roots it equals (at l = -r^3 with the
+ladders of the smaller sizes embedded in the n-strand space), once their
+rank is the order of det T(n) at l; where two roots collide modulo Phi_M
+and their vectors fall short of it, T(n) is eliminated in the field.
+Over Q(l, r) and Q(r) the determinant, the kernel, the membership check
+and rank_witness read one cached T(n) whose rows _clear_row cleared to
+integers, t_cleared.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ def det_T(n, spec=None, guard=6):
 
     Over Q(l, r) and Q(r) a fraction-free elimination runs on the rows of
     t_cleared, and the result is reduced once against the product of the
-    row scales; over a cyclotomic quotient field the elimination runs in
-    the field.  The guard refuses symbolic runs beyond n = guard (override
-    by passing a larger guard, or the LK_SIZE_GUARD environment variable on
-    the command line).
+    row scales.  Modulo Phi_M, n <= MAX_PINNED_N, it is the closed form of
+    locus_orders in the field, with no T(n): the entries of T(n) lie in
+    Z[l, 1/l, r, 1/r, 1/m], whose map onto the field commutes with det.
+    The guard refuses symbolic runs beyond n = guard (override by passing
+    a larger guard, or the LK_SIZE_GUARD environment variable on the
+    command line).
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -104,7 +107,13 @@ def det_T(n, spec=None, guard=6):
             "symbolic determinant for n=%d exceeds the guard (%d); "
             "raise LK_SIZE_GUARD to override" % (n, guard))
     if spec.is_quotient:
-        return linalg.det(t_matrix(n, spec).entries, spec.field())
+        if n > MAX_PINNED_N:
+            raise ValueError("det T(n) modulo Phi_M is known for n <= %d "
+                             "only" % MAX_PINNED_N)
+        ctx = spec.field()
+        return prod(((ctx.l() - ctx.from_int(eps) * ctx.r_pow(k)) ** e
+                     for (eps, k), e in locus_orders(n).items()),
+                    start=(-(ctx.l() * ctx.m())) ** -(n * (n - 1) // 2))
     rows, scales = t_cleared(n, spec)
     return FieldElement(linalg.bareiss_det_poly(rows),
                         prod(scales, start=Poly2.one()))
@@ -215,6 +224,13 @@ def locus_orders(n):
             (-1, 3 - n): n - 1, (1, 3 - 2 * n): 1}
 
 
+def _roots_at(n, ctx):
+    """{(eps, k): e}: the roots of locus_orders(n) that l equals in the
+    field ctx, where two of them can collide modulo Phi_M."""
+    return {(eps, k): e for (eps, k), e in locus_orders(n).items()
+            if ctx.l() == ctx.from_int(eps) * ctx.r_pow(k)}
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -225,27 +241,24 @@ class KernelReport:
     spec: Specialization
     basis: list   # list of coordinate vectors (position order)
     dim: int
-    verdicts: dict = None  # named_verdicts, once computed
+    verdicts: dict  # named_verdicts
 
     def contains(self, vector):
         """Exact membership: T(n) v = 0 characterises K(n)."""
         return _annihilates(_t_read(self.n, self.spec), self.spec, vector)
 
     def named_verdicts(self):
-        """Membership verdicts for every catalogued vector that lives at
-        this report's specialization, computed once."""
-        if self.verdicts is None:
-            self.verdicts = _catalogue(self.n, self.spec)[0]
+        """The catalogue's membership verdicts at this specialization."""
         return self.verdicts
 
 
 def _catalogue(n, spec):
     """(verdicts, members): the membership verdict of every catalogued
-    vector at spec, by name, and the vectors that pass.  Over Q(r) at
-    l = -r^3 the members also hold the ladders of every smaller size
-    3 <= t < n that pass, ladder_coords(n, ctx, k, t), which are not
-    named."""
-    T = _t_read(n, spec)
+    vector at spec, by name, and the vectors that pass among those, the
+    vectors of other names at the roots that l equals in the field of spec
+    (built in that field), and where l = -r^3 there the ladders of every
+    smaller size 3 <= t < n, ladder_coords(n, ctx, k, t), not named."""
+    T, ctx = _t_read(n, spec), spec.field()
     verdicts, members = {}, []
     for case in ALL_CASES:
         for v in named_vectors(n, case, at=spec):
@@ -253,11 +266,16 @@ def _catalogue(n, spec):
             verdicts[v.name] = _annihilates(T, spec, vector)
             if verdicts[v.name]:
                 members.append(vector)
-    if spec == _spec(-1, 3):
-        ctx = spec.field()
-        ladders = (_dense(n, ctx, ladder_coords(n, ctx, k, t))
-                   for t in range(3, n) for k in range(1, t - 1))
-        members += [v for v in ladders if _annihilates(T, spec, v)]
+    roots = _roots_at(n, ctx)
+    others = [v.coords for root in roots if _spec(*root) != spec
+              for case in ALL_CASES
+              for v in named_vectors(n, case, at=_spec(*root), ctx=ctx)
+              if v.name not in verdicts]
+    if (-1, 3) in roots:
+        others += [ladder_coords(n, ctx, k, t)
+                   for t in range(3, n) for k in range(1, t - 1)]
+    members += [v for v in (_dense(n, ctx, c) for c in others)
+                if _annihilates(T, spec, v)]
     return verdicts, members
 
 
@@ -292,40 +310,40 @@ def _annihilates(T, spec, vector):
 def kernel(n, spec):
     """Basis of K(n) = Ker T(n), in reduced echelon form.
 
-    Over Q(r), n <= MAX_PINNED_N, so det T(n) is the closed form of
-    locus_orders, and dim K(n) is at most the order e of det T(n) at l
-    (a nullity never exceeds the order of vanishing of the determinant).
-    Off the five roots e = 0 (l is never 0), so K(n) = 0 and T(n) is not
-    built.  At a root the vectors of _catalogue that T(n) annihilates have
-    rank e (criterion 12), so they span K(n), and their rref, each row
-    divided by its pivot, is its one reduced echelon basis; any other rank
-    breaks that proof and raises ArithmeticError.  Over a quotient field
-    the kernel is one elimination of T(n) in the field with its columns
-    reversed."""
+    For n <= MAX_PINNED_N det T(n) is the closed form of locus_orders, so
+    in the field of spec dim K(n) is at most the order e of det T(n) at l
+    (a nullity never exceeds the order of vanishing of the determinant),
+    the sum of the orders of the roots that l equals there.  With none e
+    is 0 (l and m are never 0), so K(n) = 0 and T(n) is not built.  Else
+    the vectors of _catalogue span K(n) once their rank is e, and their
+    rref is its one reduced echelon basis.  Over Q(r) criterion 12 proves
+    that rank, and any other raises ArithmeticError; modulo Phi_M, where
+    two colliding roots' vectors fall short of e, T(n) is eliminated."""
     if n < 3:
         raise ValueError("n must be at least 3")
     if spec is None or spec.is_generic:
         raise ValueError(
             "kernel over the generic bivariate field is not supported; "
             "specialize l first")
-    if spec.is_quotient:
-        basis = linalg.kernel_basis(_t_read(n, spec), spec.field())
-        return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis))
     if n > MAX_PINNED_N:
-        raise ValueError("the kernel over Q(r) is known for n <= %d only"
+        raise ValueError("the kernel is known for n <= %d only"
                          % MAX_PINNED_N)
-    e = next((e for (eps, k), e in locus_orders(n).items()
-              if spec == _spec(eps, k)), 0)
+    e = sum(_roots_at(n, spec.field()).values())
     if not e:
         return KernelReport(n=n, spec=spec, basis=[], dim=0, verdicts={})
     verdicts, members = _catalogue(n, spec)
-    R, pivots = _rref_qr(members)
-    if len(pivots) != e:
-        raise ArithmeticError(
-            "the kernel vectors at %s have rank %d, not the order %d of "
-            "det T(%d) there" % (spec, len(pivots), e, n))
-    return KernelReport(n=n, spec=spec,
-                        basis=linalg.unit_pivot_rows_zr(R, pivots), dim=e,
+    if spec.is_quotient:
+        basis = linalg.rref(members, spec.field())[0]
+        if len(basis) < e:
+            basis = linalg.kernel_basis(_t_read(n, spec), spec.field())
+    else:
+        R, pivots = _rref_qr(members)
+        if len(pivots) != e:
+            raise ArithmeticError(
+                "the kernel vectors at %s have rank %d, not the order %d "
+                "of det T(%d) there" % (spec, len(pivots), e, n))
+        basis = linalg.unit_pivot_rows_zr(R, pivots)
+    return KernelReport(n=n, spec=spec, basis=basis, dim=len(basis),
                         verdicts=verdicts)
 
 
@@ -520,10 +538,11 @@ def _spec(eps, k, modulus=None):
     return Specialization.l_to_mod(l, modulus)
 
 
-def named_vectors(n, case, at=None):
+def named_vectors(n, case, at=None, ctx=None):
     """The explicit kernel vectors known for the given case and size; with
     `at`, only those at that specialization, in the same order, and no
-    other vector's coordinates are built."""
+    other vector's coordinates are built; with `ctx`, the coordinates are
+    built in that field, their images there."""
     if case not in ALL_CASES:
         raise ValueError("unknown case %r; one of %s" % (case, ALL_CASES))
     if n < 3:
@@ -533,7 +552,8 @@ def named_vectors(n, case, at=None):
     def emit(name, spec, builder, *args):
         if at is None or at == spec:
             out.append(NamedVector(name=name, n=n, case=case, spec=spec,
-                                   coords=builder(n, spec.field(), *args)))
+                                   coords=builder(n, ctx or spec.field(),
+                                                  *args)))
 
     # the quotient field is built only when `at` can be one
     if case == CASE_ROOT_OF_UNITY and at is not None and not at.is_quotient:

@@ -1,8 +1,11 @@
 """Command-line surface: outputs, exit codes, golden comparison."""
 
 import json
+import os
 import pathlib
 import platform
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -207,6 +210,28 @@ def test_high_degree_l_modulo_phi_61_answers_at_once(runner, cmd):
     assert result.exit_code == 0, result.output
     if cmd == "kernel":
         assert json.loads(result.output)["dim"] == 0
+
+
+def test_high_degree_l_modulo_phi_61_answers_at_once_at_n_12():
+    # l is off the locus in that field, so the kernel is 0 with no T(n),
+    # and det T(n) is the closed form there; eliminating T(12) took 42.7 s
+    # (kernel) and 54 s (det) per process (2 cores, Python 3.11)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    for cmd in ("kernel", "det"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "lkbmw.cli", cmd, "--n", "12", "--l",
+             "(r^64+1)/(r^63-3)", "--modulus", "cyclotomic:61"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        if cmd == "kernel":
+            assert (payload["dim"], payload["named_verdicts"]) == (0, {})
+        else:
+            assert payload["det"] not in ("", "0")
 
 
 @pytest.mark.parametrize("n", ["5", "6", "7", "12"])

@@ -84,6 +84,40 @@ def test_size_guard():
     assert det_T(7, SPEC_R).is_zero()
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_quotient_det_is_the_closed_form(monkeypatch, n):
+    """Modulo Phi_M det_T is the closed form evaluated in the field, with no
+    T(n) built, and equals the elimination of T(n) there: at the kernel
+    workloads' points modulo Phi_4n, at l = 1 + r^2 modulo Phi_5, and at the
+    high-degree l modulo Phi_61 for n = 4, 5."""
+    specs = [Specialization.l_to_mod(l, 4 * n) for l in _kernel_points(n)]
+    specs.append(Specialization.l_to_mod("1+r^2", 5))
+    if n in (4, 5):
+        specs.append(Specialization.l_to_mod("(r^64+1)/(r^63-3)", 61))
+    want = [linalg.det(t_matrix(n, spec).entries, spec.field())
+            for spec in specs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("T(n) built")
+
+    monkeypatch.setattr(spectral, "sum_matrix_direct", refuse)
+    t_matrix.cache_clear()
+    assert [str(det_T(n, spec)) for spec in specs] == [str(d) for d in want]
+
+
+def test_quotient_specs_past_the_certificate_are_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("T(n) built")
+
+    monkeypatch.setattr(spectral, "sum_matrix_direct", refuse)
+    n = MAX_PINNED_N + 1
+    for l in ("r^2", "-r^3"):
+        spec = Specialization.l_to_mod(l, 4 * n)
+        for fn in (kernel, det_T):
+            with pytest.raises(ValueError):
+                fn(n, spec)
+
+
 # -- locus --------------------------------------------------------------------
 
 LOCI = {
@@ -504,6 +538,109 @@ def test_kernel_routes_over_qr_match_elimination(monkeypatch):
     assert len(routes["none"]) == 6 * 5 + 1
 
 
+# points modulo Phi_M: the kernel workloads' six at M = 4n, and at n = 6, 7
+# collisions of two roots (glued at M = 8, 3, 12, 14 and not at M = 16) and
+# points off the locus
+QUOTIENT_POINTS = (
+    [(n, l, 4 * n) for n in range(3, 8) for l in _kernel_points(n)]
+    + [(6, "-1/r^3", 8), (6, "r", 8), (6, "1/r^3", 12), (6, "1/r^5", 16),
+       (7, "1/r^11", 3), (7, "1/r^4", 14), (7, "r^2", 5),
+       (5, "(r^64+1)/(r^63-3)", 61)])
+
+
+def test_kernel_routes_over_quotient_fields_match_elimination(monkeypatch):
+    """Modulo Phi_M the kernel takes the route of Q(r): where l equals no
+    root of the locus in the field the kernel is 0 and T(n) is not built;
+    otherwise it is the rref of the verified vectors of the roots that l
+    equals there, and T(n) is eliminated only when their rank falls short
+    of the summed orders, which happens only where two roots collide.
+    Every basis equals the elimination's, string for string, and the
+    verdicts are the catalogue's at the spec."""
+    oracle = linalg.kernel_basis
+    calls = dict.fromkeys(["kernel_basis", "sum_matrix_direct"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        counted("kernel_basis", oracle))
+    monkeypatch.setattr(spectral, "sum_matrix_direct",
+                        counted("sum_matrix_direct",
+                                spectral.sum_matrix_direct))
+    routes = {}
+    for n, l, m in QUOTIENT_POINTS:
+        spec = Specialization.l_to_mod(l, m)
+        ctx = spec.field()
+        roots = spectral._roots_at(n, ctx)
+        e = sum(roots.values())
+        t_matrix.cache_clear()
+        for name in calls:
+            calls[name] = 0
+        rep = kernel(n, spec)
+        if not e:
+            route = "none"
+            assert calls["sum_matrix_direct"] == 0
+        else:
+            members = spectral._catalogue(n, spec)[1]
+            short = linalg.rank(members, ctx) < e
+            assert calls["kernel_basis"] == short, (n, l, m)
+            assert len(roots) > 1 or not short
+            route = "elimination" if short else "catalogue"
+        routes.setdefault(route, []).append((n, l, m))
+        T = _t_read(n, spec)
+        assert ([[str(x) for x in v] for v in rep.basis]
+                == [[str(x) for x in v] for v in oracle(T, ctx)]), (n, l, m)
+        assert rep.dim == len(rep.basis)
+        assert rep.named_verdicts() == spectral._catalogue(n, spec)[0] == {
+            v.name: check_membership(v) for case in ALL_CASES
+            for v in named_vectors(n, case, at=spec)}
+    assert sorted(routes["elimination"]) == [
+        (6, "-1/r^3", 8), (6, "1/r^3", 12), (6, "r", 8), (7, "1/r^11", 3),
+        (7, "1/r^4", 14)]
+    assert (6, "1/r^5", 16) in routes["catalogue"]
+    # r^2 at every n, l = r at n = 3 (order 0), r^2 modulo Phi_5 and the
+    # high-degree l modulo Phi_61
+    assert len(routes["none"]) == 8
+
+
+@pytest.mark.parametrize("n,l,m,dim", [(6, "-1/r^3", 8, 9),
+                                       (7, "1/r^11", 3, 14),
+                                       (5, "1/r^7", 5, 4)])
+def test_glued_collisions_fall_back_to_elimination(monkeypatch, n, l, m,
+                                                   dim):
+    """Where two roots collide modulo Phi_M and their kernels are glued, so
+    that det T(n) vanishes there to a higher order than the kernel's
+    dimension, the verified vectors fall short of the summed orders, and
+    the kernel is one elimination of T(n)."""
+    calls = []
+    oracle = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        lambda *args: calls.append(1) or oracle(*args))
+    spec = Specialization.l_to_mod(l, m)
+    rep = kernel(n, spec)
+    assert (rep.dim, len(calls)) == (dim, 1)
+    assert rep.dim < sum(spectral._roots_at(n, spec.field()).values())
+
+
+def test_named_vectors_in_a_field_are_the_images_there():
+    """named_vectors with ctx, a field in which l has the value it has at
+    `at`, builds the coordinates of the vectors over Q(r) in that field, as
+    QuotientField.embed maps them."""
+    for n, m in ((4, 16), (6, 24), (7, 3)):
+        field = rings.QuotientField(rings.cyclotomic(m))
+        for root in locus_orders(n):
+            ctx = _spec(*root, m).field()
+            for case in ALL_CASES:
+                at = _spec(*root)
+                built = named_vectors(n, case, at=at, ctx=ctx)
+                assert [(v.name, v.coords) for v in built] == [
+                    (v.name, {w: field.embed(c) for w, c in v.coords.items()})
+                    for v in named_vectors(n, case, at=at)]
+
+
 def test_the_kernel_over_qr_is_pinned_at_every_n_lk_accepts():
     assert MAX_PINNED_N >= MAX_N
 
@@ -772,12 +909,15 @@ def test_t_cleared_is_bounded_and_shared():
 
 
 def test_reports_keep_their_matrix_past_the_caches(monkeypatch):
-    # 24 reports, three times the caches' size: the later ones evict the
-    # earlier ones' T(n), and no report may build it again
+    # 48 reports, six times the caches' size, over Q(r) and modulo Phi_4n:
+    # the later ones evict the earlier ones' T(n), and no report may build
+    # it again
     from lkbmw import spectral
 
     reports = [kernel(n, Specialization.l_to(l))
                for n in (4, 5, 6, 7) for l in _kernel_points(n)]
+    reports += [kernel(n, spec) for n in (4, 5, 6, 7)
+                for spec in _cyclotomic_points(n)]
     before = [rep.named_verdicts() for rep in reports]
     t_matrix.cache_clear()
     t_cleared.cache_clear()
@@ -787,6 +927,8 @@ def test_reports_keep_their_matrix_past_the_caches(monkeypatch):
 
     monkeypatch.setattr(spectral, "sum_matrix_direct", refuse)
     assert [rep.named_verdicts() for rep in reports] == before
-    # each locus root has catalogued vectors, all in its kernel; r^2 has none
-    assert [bool(v) for v in before] == ([True] * 5 + [False]) * 4
+    # each locus root has catalogued vectors, all in its kernel; r^2 has
+    # none, and modulo Phi_4n only -r^3 has the root-of-unity vectors
+    assert [bool(v) for v in before] == (([True] * 5 + [False]) * 4
+                                         + [False, True, *[False] * 4] * 4)
     assert all(all(v.values()) for v in before)
