@@ -20,6 +20,10 @@ The list holds:
   not (n = 4 at 1/r^5 modulo Phi_16, n = 8 at -r^3 modulo Phi_32), and at
   n = 9 modulo Phi_61 at the root 1/r^15 and at the high-degree l above,
   which is off the locus there;
+- `verify` over Q(l, r) at n = 9..12, at l = (r^2+r+1)/(r-2) for n = 6,
+  at the high-degree l above for n = 5 over Q(r) and n = 6 modulo Phi_61,
+  and at l = -r^3 for n = 7 modulo Phi_28, the relation checks beyond the
+  benchmark's;
 - every other command (`matrices`, `sum-matrix`, `locus`, `rank-witness`,
   `specht`, `info`) at small n, and each with `--output text`;
 - `check-vectors` for every case at n = 3..8, so every catalogued vector's
@@ -118,6 +122,13 @@ def _workloads():
                             (8, "-r^3", 32), (9, "1/r^15", 61),
                             (9, "(r^64+1)/(r^63-3)", 61))
             for cmd in ("kernel", "det")]
+    ops += [["verify", "--n", str(n)] for n in range(9, 13)]
+    ops += [["verify", "--n", "6", "--l", "(r^2+r+1)/(r-2)"],
+            ["verify", "--n", "5", "--l", "(r^64+1)/(r^63-3)"],
+            ["verify", "--n", "6", "--l", "(r^64+1)/(r^63-3)",
+             "--modulus", "cyclotomic:61"],
+            ["verify", "--n", "7", "--l", "-r^3",
+             "--modulus", "cyclotomic:28"]]
     return ops
 
 

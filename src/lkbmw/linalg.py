@@ -6,16 +6,17 @@ Products and sums of matrices (identity, mat_mul, mat_add, mat_sub,
 mat_scale) work on sparse rows: a matrix is a list of rows, each a dict
 {column: entry} that stores no zero, so two such matrices are equal exactly
 when they compare equal with ==.  sparse and dense convert at the
-boundaries.  The other routines take dense lists of lists.  The exceptions
-take integer data: rref_zr and kernel_basis_zr a matrix over Z[r] (dense
-int coefficient lists), bareiss_det_poly a matrix over Z[l, r] (integer
-ladders, as rings._ladder builds them).
+boundaries.  The sparse-row operations compute every entry product and sum
+through an EntryTable, which a caller may share across many operations on
+the same entries.  The other routines take dense lists of lists.  The
+exceptions take integer data: rref_zr and kernel_basis_zr a matrix over
+Z[r] (dense int coefficient lists), bareiss_det_poly a matrix over Z[l, r]
+(integer ladders, as rings._ladder builds them).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from .rings import (_Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _divexact,
                     _from_ll, _prs_gcd, _u_mul, _u_sub, _zr_content)
@@ -23,9 +24,57 @@ from .rings import (_Z, FE_ONE, FE_ZERO, FieldElement, Poly2, _divexact,
 
 # -- sparse rows: no stored zero ---------------------------------------------
 
-def sparse(M):
-    """The sparse rows of a dense matrix."""
-    return [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in M]
+class EntryTable:
+    """Each distinct entry held as one object, and each product and each sum
+    of two entries computed once.
+
+    Entries are immutable and their arithmetic is deterministic, so a result
+    looked up by the identity of its operands equals the one the operation
+    would compute.  intern returns the one object equal to a value; every
+    result the table returns is interned, so equal results share an object
+    and their own products and sums are found again.  Products and sums sit
+    in two maps keyed by (id(a), id(b)); each value holds its operands, so
+    no key's id is reused while the table lives.
+    """
+
+    __slots__ = ("_entries", "_products", "_sums")
+
+    def __init__(self):
+        self._entries = {}
+        self._products = {}
+        self._sums = {}
+
+    def intern(self, e):
+        return self._entries.setdefault(e, e)
+
+    def mul(self, a, b):
+        hit = self._products.get((id(a), id(b)))
+        if hit is None:
+            hit = self._products[id(a), id(b)] = a, b, self.intern(a * b)
+        return hit[2]
+
+    def add(self, a, b):
+        hit = self._sums.get((id(a), id(b)))
+        if hit is None:
+            hit = self._sums[id(a), id(b)] = a, b, self.intern(a + b)
+        return hit[2]
+
+    def neg(self, a):
+        return self.intern(-a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+
+def _table(table):
+    return EntryTable() if table is None else table
+
+
+def sparse(M, table=None):
+    """The sparse rows of a dense matrix, entries interned in the table."""
+    intern = _table(table).intern
+    return [{j: intern(e) for j, e in enumerate(row) if not e.is_zero()}
+            for row in M]
 
 
 def dense(S, ncols, zero):
@@ -39,20 +88,22 @@ def dense(S, ncols, zero):
     return out
 
 
-def identity(n, ctx):
-    one = ctx.one()
+def identity(n, ctx, table=None):
+    one = _table(table).intern(ctx.one())
     return [{i: one} for i in range(n)]
 
 
-def mat_mul(A, B):
+def mat_mul(A, B, table=None):
     """A B: row i sums a B_k over the stored entries a = A_ik, and keeps
     only the sums that do not cancel."""
+    table = _table(table)
+    mul, add = table.mul, table.add
     out = []
     for Ai in A:
         acc = {}
         for k, a in Ai.items():
             for j, b in B[k].items():
-                acc[j] = acc[j] + a * b if j in acc else a * b
+                acc[j] = add(acc[j], mul(a, b)) if j in acc else mul(a, b)
         out.append({j: v for j, v in acc.items() if not v.is_zero()})
     return out
 
@@ -76,16 +127,19 @@ def _merge(A, B, combine, lone):
     return out
 
 
-def mat_add(A, B):
-    return _merge(A, B, operator.add, lambda b: b)
+def mat_add(A, B, table=None):
+    return _merge(A, B, _table(table).add, lambda b: b)
 
 
-def mat_sub(A, B):
-    return _merge(A, B, operator.sub, operator.neg)
+def mat_sub(A, B, table=None):
+    table = _table(table)
+    return _merge(A, B, table.sub, table.neg)
 
 
-def mat_scale(A, c):
-    return [{j: v for j, a in row.items() if not (v := c * a).is_zero()}
+def mat_scale(A, c, table=None):
+    table = _table(table)
+    mul, c = table.mul, table.intern(c)
+    return [{j: v for j, a in row.items() if not (v := mul(c, a)).is_zero()}
             for row in A]
 
 

@@ -9,6 +9,7 @@ scheme that extends the size-(n-1) matrices by n-1 rows and columns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -157,6 +158,12 @@ def _g_recursive(k, n, ctx):
     return M
 
 
+def _sparse_ops(table):
+    """linalg.mat_mul, mat_add, mat_sub and mat_scale, all on one table."""
+    return (functools.partial(f, table=table) for f in (
+        linalg.mat_mul, linalg.mat_add, linalg.mat_sub, linalg.mat_scale))
+
+
 def build_matrices_recursive(n, spec=None):
     """The same family, built by the block recursion instead of the case
     formulas; E_i and G_i^{-1} come from the defining matrix relations."""
@@ -169,16 +176,16 @@ def build_matrices_recursive(n, spec=None):
     zero = ctx.zero()
     m = ctx.m()
     l_over_m = ctx.l() / m
-    ident = linalg.identity(size, ctx)
-    m_ident = linalg.mat_scale(ident, m)
+    table = linalg.EntryTable()
+    mul, add, sub, scale = _sparse_ops(table)
+    ident = linalg.identity(size, ctx, table)
+    m_ident = scale(ident, m)
     G, E, Ginv = [], [], []
     for k in range(1, n):
         g = _g_recursive(k, n, ctx)
-        s = linalg.sparse(g)
-        e = linalg.mat_scale(linalg.mat_sub(linalg.mat_add(
-            linalg.mat_mul(s, s), linalg.mat_scale(s, m)), ident), l_over_m)
-        ginv = linalg.mat_sub(linalg.mat_add(s, m_ident),
-                              linalg.mat_scale(e, m))
+        s = linalg.sparse(g, table)
+        e = scale(sub(add(mul(s, s), scale(s, m)), ident), l_over_m)
+        ginv = sub(add(s, m_ident), scale(e, m))
         G.append(g)
         E.append(linalg.dense(e, size, zero))
         Ginv.append(linalg.dense(ginv, size, zero))
@@ -207,29 +214,30 @@ def verify_relations(mats):
     equality: the braid relations (1)-(2), the polynomial definition of the
     e_i (3), the quadratic relation (8), the inverse law (9), the other
     mixed relations (4)-(13), the idempotent relation e_i^2 = x e_i (14) and
-    the vanishing of e_a e_b for distant nodes (15).  The matrices are taken to sparse rows once, where equality
-    is == (linalg).  Every relation at node a is decided in one pass over a,
-    so each product is computed once and only a few matrices are alive at
-    any moment; each check is recorded under (relation, a, b) and reported
-    in the order of that key.
+    the vanishing of e_a e_b for distant nodes (15).  The matrices are taken
+    to sparse rows once, where equality is == (linalg), and every operation
+    shares one linalg.EntryTable, so each distinct entry product and sum is
+    computed once in the whole check.  Every relation at node a is decided
+    in one pass over a, so each matrix product is computed once and only a
+    few matrices are alive at any moment; each check is recorded under
+    (relation, a, b) and reported in the order of that key.
 
     With every E_i = 0 and G_i^{-1} = G_i + m, the relations say exactly
     that the G_i satisfy the braid relations and G^2 + mG = 1: the
     relations of a Hecke algebra module (specht.verify_seed_matrices)."""
     n = mats.n
     ctx = mats.spec.field()
-    G, E, Ginv = (list(map(linalg.sparse, F))
+    table = linalg.EntryTable()
+    G, E, Ginv = ([linalg.sparse(M, table) for M in F]
                   for F in (mats.G, mats.E, mats.Ginv))
-    ident = linalg.identity(mats.size, ctx)
+    ident = linalg.identity(mats.size, ctx, table)
     m = ctx.m()
     l = ctx.l()
     linv = ctx.l_inv()
     x = ctx.x()
-    mul = linalg.mat_mul
-    add = linalg.mat_add
-    sub = linalg.mat_sub
-    scale = linalg.mat_scale
+    mul, add, sub, scale = _sparse_ops(table)
     l_over_m = l / m
+    m_linv = m * linv
     m_ident = scale(ident, m)
     checks = {}
     for a in range(n - 1):
@@ -246,14 +254,15 @@ def verify_relations(mats):
                                    mul(p, G[a]) == mul(G[a + 1], p))
         g2 = mul(G[a], G[a])
         mg = scale(G[a], m)
+        e_linv = scale(E[a], linv)
         checks[3, a, a] = ("(3) e%d polynomial in g%d" % (i, i),
                            E[a] == scale(sub(add(g2, mg), ident), l_over_m))
         checks[4, a, a] = ("(4) g%de%d=l^-1 e%d" % (i, i, i),
-                           mul(G[a], E[a]) == scale(E[a], linv))
+                           mul(G[a], E[a]) == e_linv)
         checks[7, a, a] = ("(7) e%dg%d=l^-1 e%d" % (i, i, i),
-                           mul(E[a], G[a]) == scale(E[a], linv))
+                           mul(E[a], G[a]) == e_linv)
         checks[8, a, a] = ("(8) g%d^2=1-mg+ml^-1 e" % i,
-                           g2 == add(sub(ident, mg), scale(E[a], m * linv)))
+                           g2 == add(sub(ident, mg), scale(E[a], m_linv)))
         checks[9, a, a] = ("(9) inverse law g%d" % i,
                            mul(G[a], Ginv[a]) == ident
                            and Ginv[a] == sub(add(G[a], m_ident),

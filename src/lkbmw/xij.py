@@ -38,10 +38,12 @@ def xij_by_conjugation(mats, i, j):
     n = mats.n
     if not (1 <= i < j <= n):
         raise ValueError("need 1 <= i < j <= n")
-    X = linalg.sparse(mats.E[i - 1])
+    table = linalg.EntryTable()
+    X = linalg.sparse(mats.E[i - 1], table)
     for t in range(i + 2, j + 1):
-        X = linalg.mat_mul(linalg.sparse(mats.G[t - 2]), linalg.mat_mul(
-            X, linalg.sparse(mats.Ginv[t - 2])))
+        G, Ginv = (linalg.sparse(F[t - 2], table)
+                   for F in (mats.G, mats.Ginv))
+        X = linalg.mat_mul(G, linalg.mat_mul(X, Ginv, table), table)
     target = RootIndex(i, j, n).position()
     if any(Xa for a, Xa in enumerate(X) if a != target - 1):
         raise StructureError("nu(X_%d%d) has a nonzero entry outside row %d"

@@ -13,10 +13,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from lkbmw.linalg import (bareiss_det_poly, dense, det, identity,
-                          is_zero_vector, kernel_basis, kernel_basis_zr,
-                          mat_add, mat_mul, mat_scale, mat_sub, mat_vec, rank,
-                          rref, rref_zr, sparse)
+from lkbmw.linalg import (EntryTable, bareiss_det_poly, dense, det,
+                          identity, is_zero_vector, kernel_basis,
+                          kernel_basis_zr, mat_add, mat_mul, mat_scale,
+                          mat_sub, mat_vec, rank, rref, rref_zr, sparse)
 from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, Poly2, QuotientField,
                          Specialization, _ladder, cyclotomic)
 
@@ -299,8 +299,8 @@ def _assert_sparse(got, want, ncols, ring):
     _assert_entrywise(dense(got, ncols, _RINGS[ring][0]), want)
 
 
-def _sparse_round_trip(M, ncols, ring):
-    S = sparse(M)
+def _sparse_round_trip(M, ncols, ring, table=None):
+    S = sparse(M, table)
     _assert_entrywise(dense(S, ncols, _RINGS[ring][0]), M)
     return S
 
@@ -309,7 +309,7 @@ def _sparse_round_trip(M, ncols, ring):
        n=st.integers(0, 4), inner=st.integers(1, 4), m=st.integers(1, 4))
 @settings(max_examples=120, deadline=None)
 def test_mat_mul_matches_plain_triple_loop(data, ring, n, inner, m):
-    _, _, _, _, neg = _RINGS[ring]
+    _, _, add, mul, neg = _RINGS[ring]
     A = data.draw(_matrix(ring, n, inner))
     B = data.draw(_matrix(ring, inner, m))
     if n and inner >= 2 and data.draw(st.booleans()):
@@ -321,9 +321,20 @@ def test_mat_mul_matches_plain_triple_loop(data, ring, n, inner, m):
         A[i] = [_RINGS[ring][0]] * inner
         A[i][k1], A[i][k2] = a, neg(a)
         B[k2] = list(B[k1])
-    got = mat_mul(_sparse_round_trip(A, inner, ring),
-                  _sparse_round_trip(B, m, ring))
-    _assert_sparse(got, _plain_mul(A, B, ring), m, ring)
+    c = data.draw(_entry(ring))
+    # one table for the whole sequence: the product, then products and sums
+    # of the same entries again, so the table's hits are checked too
+    table = EntryTable()
+    SA = _sparse_round_trip(A, inner, ring, table)
+    SB = _sparse_round_trip(B, m, ring, table)
+    _assert_sparse(mat_mul(SA, SB, table), _plain_mul(A, B, ring), m, ring)
+    _assert_sparse(mat_mul(mat_scale(SA, c, table), SB, table),
+                   _plain_mul([[mul(c, a) for a in row] for row in A], B,
+                              ring), m, ring)
+    _assert_sparse(mat_mul(SA, mat_add(SB, SB, table), table),
+                   _plain_mul(A, [[add(b, b) for b in row] for row in B],
+                              ring), m, ring)
+    _assert_sparse(mat_mul(SA, SB, table), _plain_mul(A, B, ring), m, ring)
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(_RINGS)),
@@ -341,15 +352,26 @@ def test_elementwise_operations_match_plain_loops(data, ring, n, m):
     for i, j in cells:
         if i < n and j < m:
             B_add[i][j], B_sub[i][j] = neg(A[i][j]), A[i][j]
-    S = _sparse_round_trip(A, m, ring)
-    _assert_sparse(mat_add(S, _sparse_round_trip(B_add, m, ring)),
+    # one table for the whole sequence
+    table = EntryTable()
+    S = _sparse_round_trip(A, m, ring, table)
+    _assert_sparse(mat_add(S, _sparse_round_trip(B_add, m, ring, table),
+                           table),
                    [[add(a, b) for a, b in zip(ra, rb)]
                     for ra, rb in zip(A, B_add)], m, ring)
-    _assert_sparse(mat_sub(S, _sparse_round_trip(B_sub, m, ring)),
+    _assert_sparse(mat_sub(S, _sparse_round_trip(B_sub, m, ring, table),
+                           table),
                    [[add(a, neg(b)) for a, b in zip(ra, rb)]
                     for ra, rb in zip(A, B_sub)], m, ring)
-    _assert_sparse(mat_scale(S, c), [[mul(c, a) for a in row] for row in A],
-                   m, ring)
+    _assert_sparse(mat_scale(S, c, table),
+                   [[mul(c, a) for a in row] for row in A], m, ring)
+    # the sums c + a of the very operand pairs that mat_scale multiplied: a
+    # table that kept products and sums under one key would return c a
+    C = _sparse_round_trip([[c] * m for _ in range(n)], m, ring, table)
+    _assert_sparse(mat_add(C, S, table),
+                   [[add(c, a) for a in row] for row in A], m, ring)
+    _assert_sparse(mat_sub(C, S, table),
+                   [[add(c, neg(a)) for a in row] for row in A], m, ring)
 
 
 def test_mat_mul_of_empty_and_rectangular_shapes():

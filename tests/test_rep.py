@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from lkbmw import linalg
+from lkbmw import linalg, specht
 from lkbmw.rep import (build_matrices, build_matrices_recursive, nu_images,
                        verify_relations)
 from lkbmw.rings import FE_ZERO, FieldElement, Specialization, specialize
@@ -327,6 +327,40 @@ def test_relations_quotient_field():
         spec = Specialization.l_to_mod(-(R ** 3), index)
         report = verify_relations(build_matrices(n, spec))
         assert report.all_pass, report.failures
+
+
+def _one_table_per_operation(monkeypatch):
+    """Make every sparse-row operation of linalg ignore the table it is
+    given, so that each runs on a fresh one."""
+    for name, arity in (("sparse", 1), ("identity", 2), ("mat_mul", 2),
+                        ("mat_add", 2), ("mat_sub", 2), ("mat_scale", 2)):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, fn=fn, arity=arity, table=None:
+                            fn(*args[:arity]))
+
+
+def test_one_shared_table_gives_the_reports_of_fresh_tables(monkeypatch):
+    # every report of verify_relations, with its entry table shared by all
+    # checks, equals the report with a fresh table per operation; a
+    # corrupted G_2 makes some checks fail
+    cases = [(n, spec) for n in range(3, 7) for spec in (
+        Specialization.generic(),
+        Specialization.l_to((R * R + R + 1) / (R - 2)),
+        Specialization.l_to_mod(-(R ** 3), 20))]
+    mats = [build_matrices(n, spec) for n, spec in cases]
+    G2 = [list(row) for row in mats[-1].G[1]]
+    G2[0][0] = mats[-1].spec.field().r_pow(1)
+    mats.append(dataclasses.replace(mats[-1],
+                                    G=mats[-1].G[:1] + [G2] + mats[-1].G[2:]))
+    seeds = [("M", 4), ("M", 5), ("N", 4), ("N", 6), ("P", 5), ("Q", 5)]
+    shared = ([verify_relations(M) for M in mats]
+              + [specht.verify_seed_matrices(*seed) for seed in seeds])
+    assert not shared[len(cases)].all_pass
+    _one_table_per_operation(monkeypatch)
+    fresh = ([verify_relations(M) for M in mats]
+             + [specht.verify_seed_matrices(*seed) for seed in seeds])
+    assert shared == fresh
 
 
 def test_eigen_relation():
