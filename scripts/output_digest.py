@@ -10,8 +10,13 @@ The list holds:
   with l = -r^3 modulo Phi_20, `kernel` at l = -r^3 for n = 3 modulo
   Phi_12 and n = 4 modulo Phi_16, and `kernel` and `det` at n = 5 with the
   high-degree l = (r^64+1)/(r^63-3) modulo Phi_61, and `det` over Q(r)
-  at l = r^2 for n = 6, 8 and at l = (r^2+r+1)/(r-2) for n = 6, where
-  the determinant's digit width is wider than at n <= 5, and `kernel` over
+  at l = r^2 for n = 6, 8, 9, 10 and at l = (r^2+r+1)/(r-2) for n = 6,
+  where the determinant's digit width is wider than at n <= 5, at l = r
+  for n = 3, where the factor l - r has exponent 0, at the kernel
+  workloads' six points for n = 7, at l = (r^24+1)/(r^23-3) for n = 4,
+  and at l = 2^64, (2^51)^5 and 2*(r-1)^2/(r+1)^3/r^2 for n = 5, whose
+  numerator and denominator carry large integers or the factors r and
+  r +- 1 that the closed form of det T(n) counts apart, and `kernel` over
   Q(r) at the kernel workloads' six points (the five roots of the locus
   and l = r^2) for n = 7..12, the sizes beyond the benchmark's;
 - `kernel` and `det` modulo Phi_M where two roots of the locus collide:
@@ -114,6 +119,10 @@ def _workloads():
     ops += [["det", "--n", "6", "--l", "r^2"],
             ["det", "--n", "8", "--l", "r^2"],
             ["det", "--n", "6", "--l", "(r^2+r+1)/(r-2)"]]
+    ops += [["det", "--n", n, "--l", l] for n, l in (
+        ("3", "r"), *(("7", l) for l in kernel_points(7)),
+        ("9", "r^2"), ("10", "r^2"), ("4", "(r^24+1)/(r^23-3)"),
+        ("5", "2^64"), ("5", "(2^51)^5"), ("5", "2*(r-1)^2/(r+1)^3/r^2"))]
     ops += [["kernel", "--n", str(n), "--l", l]
             for n in range(7, 13) for l in kernel_points(n)]
     ops += [[cmd, "--n", str(n), "--l", l, "--modulus", "cyclotomic:%d" % m]

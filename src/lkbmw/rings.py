@@ -223,15 +223,15 @@ def _from_ll(ll):
     return out
 
 
-def _power(base, k, one):
+def _power(base, k, one, mul=operator.mul):
     """base^k for an integer k >= 0, by square-and-multiply."""
     result = one
     while k:
         if k & 1:
-            result = result * base
+            result = mul(result, base)
         k >>= 1
         if k:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -600,6 +600,52 @@ def _fe_reduce(num, den):
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
+
+
+def fe_coprime_product(factors):
+    """prod f^e for the pairs (f, e) of a FieldElement in r and an int, in
+    FieldElement's normal form, with no gcd.
+
+    Precondition: with r, r - 1 and r + 1 divided out of each f.num and
+    f.den, two primitive parts that the product puts on opposite sides of
+    the line (f.num above for e > 0, f.den above for e < 0) are equal, and
+    cancel, or coprime.  The three factors are counted, so they cancel
+    exactly.  Pairs with e = 0 are dropped, and a zero f with e > 0 makes
+    the product 0."""
+    parts = {}                  # primitive part -> exponent, above - below
+    orders = [0, 0, 0]          # of r, r - 1 and r + 1
+    const = _ONE
+    for f, e in factors:
+        if not e:
+            continue
+        if f.is_zero():
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return FE_ZERO
+        for p, k in ((f.num, e), (f.den, -e)):
+            (v,), d = _ladder(p.terms)
+            z = next(i for i, c in enumerate(v) if c)
+            v = v[z:]
+            orders[0] += z * k
+            for j, root in ((1, 1), (2, -1)):
+                while not sum(v[::2]) + root * sum(v[1::2]):
+                    v = _divexact(v, [-root, 1], _Z)
+                    orders[j] += k
+            c = _z_content(v) if v[-1] > 0 else -_z_content(v)
+            const *= _Q(c, d) ** k
+            v = tuple(x // c for x in v)
+            parts[v] = parts.get(v, 0) + k
+    parts.update(zip(((0, 1), (-1, 1), (1, 1)), orders))
+    sides = [[1], [1]]          # above and below the line
+    for v, k in parts.items():
+        if k:
+            sides[k < 0] = _u_mul(sides[k < 0],
+                                  _power(v, abs(k), [1], _u_mul))
+    num, den = sides
+    const /= den[-1]
+    return FieldElement(Poly2({(0, i): c * const for i, c in enumerate(num)}),
+                        Poly2({(0, i): _Q(c, den[-1])
+                               for i, c in enumerate(den)}), reduce=False)
 
 
 def _poly_subs_l(p, value):

@@ -3,21 +3,20 @@
 T(n) is the matrix of the sum of all nu(X_ij); its determinant as a function
 of l cuts out the reducibility locus, and its kernel K(n) at a specialized l
 is the intersection of the kernels of all the X_ij operators.  This module
-computes the determinant exactly over Q(l, r) and Q(r) (fraction-free, on
-the rows cleared to integers), extracts the locus by dividing out each
-candidate l = +-r^k at which the numerator vanishes, computes each kernel
-in reduced echelon form, and carries a catalogue of the explicit spanning
-vectors with a membership checker.  For n <= MAX_PINNED_N det T(n) is
-the closed form of locus_orders, so modulo Phi_M the determinant is that
-form evaluated in the field, and in every specialized field the kernel is
-0 where l equals none of the five roots and otherwise the span of the
-verified catalogue vectors of the roots it equals (at l = -r^3 with the
-ladders of the smaller sizes embedded in the n-strand space), once their
-rank is the order of det T(n) at l; where two roots collide modulo Phi_M
-and their vectors fall short of it, T(n) is eliminated in the field.
-Over Q(l, r) and Q(r) the determinant, the kernel, the membership check
-and rank_witness read one cached T(n) whose rows _clear_row cleared to
-integers, t_cleared.
+computes the determinant exactly over Q(l, r) (fraction-free, on the rows
+cleared to integers), extracts the locus by dividing out each candidate
+l = +-r^k at which the numerator vanishes, computes each kernel in reduced
+echelon form, and carries a catalogue of the explicit spanning vectors with
+a membership checker.  For n <= MAX_PINNED_N det T(n) is the closed form of
+locus_orders, so at every specialized l the determinant is that form with
+no T(n), and in every specialized field the kernel is 0 where l equals none
+of the five roots and otherwise the span of the verified catalogue vectors
+of the roots it equals (at l = -r^3 with the ladders of the smaller sizes
+embedded in the n-strand space), once their rank is the order of det T(n)
+at l; where two roots collide modulo Phi_M and their vectors fall short of
+it, T(n) is eliminated in the field.  The determinant over Q(l, r), and
+the membership check and rank_witness over Q(r), read one cached T(n)
+whose rows _clear_row cleared to integers, t_cleared.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from . import linalg
-from .rings import FieldElement, Poly2, Specialization, _den_lcm, _ladder
+from .rings import (FieldElement, Poly2, Specialization, _den_lcm, _ladder,
+                    fe_coprime_product)
 from .roots import RootIndex, num_roots
 from .xij import sum_matrix_direct
 
@@ -89,34 +89,44 @@ def _t_read(n, spec):
 def det_T(n, spec=None, guard=6):
     """Exact determinant of T(n) over the target field.
 
-    Over Q(l, r) and Q(r) a fraction-free elimination runs on the rows of
-    t_cleared, and the result is reduced once against the product of the
-    row scales.  Modulo Phi_M, n <= MAX_PINNED_N, it is the closed form of
-    locus_orders in the field, with no T(n): the entries of T(n) lie in
+    Over Q(l, r) a fraction-free elimination runs on the rows of t_cleared,
+    reduced once against the product of the row scales; the guard refuses
+    it beyond n = guard (override by passing a larger guard, or the
+    LK_SIZE_GUARD environment variable on the command line).  At a
+    specialized l, n <= MAX_PINNED_N, det T(n) is the closed form of
+    locus_orders, with no T(n): the entries of T(n) lie in
     Z[l, 1/l, r, 1/r, 1/m], whose map onto the field commutes with det.
-    The guard refuses symbolic runs beyond n = guard (override by passing
-    a larger guard, or the LK_SIZE_GUARD environment variable on the
-    command line).
+    Its factors multiply in the field modulo Phi_M, and over Q(r) with no
+    gcd in rings.fe_coprime_product, whose precondition holds: write
+    l = a/b in lowest terms and s = max(0, -k); up to powers of r,
+    l - eps r^k is P_k / b with P_k = r^s a - eps r^max(0, k) b, and
+    l (r - 1/r) is a (r^2 - 1) / b.  Above the line stand the P_k and, for
+    the exponent -N, b; below it a, and b from each l - eps r^k.  A common
+    factor of P_k and a divides r^max(0, k) b, and one of P_k and b
+    divides r^s a, so with gcd(a, b) = 1 both are powers of r.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
     if spec is None:
         spec = Specialization.generic()
-    if spec.is_generic and n > guard:
-        raise SizeGuardError(
-            "symbolic determinant for n=%d exceeds the guard (%d); "
-            "raise LK_SIZE_GUARD to override" % (n, guard))
+    if spec.is_generic:
+        if n > guard:
+            raise SizeGuardError(
+                "symbolic determinant for n=%d exceeds the guard (%d); "
+                "raise LK_SIZE_GUARD to override" % (n, guard))
+        rows, scales = t_cleared(n, spec)
+        return FieldElement(linalg.bareiss_det_poly(rows),
+                            prod(scales, start=Poly2.one()))
+    if n > MAX_PINNED_N:
+        raise ValueError("det T(n) at a specialized l is known for n <= %d "
+                         "only" % MAX_PINNED_N)
+    ctx = spec.field()
+    factors = [(ctx.l() - ctx.from_int(eps) * ctx.r_pow(k), e)
+               for (eps, k), e in locus_orders(n).items()]
+    factors.append((-(ctx.l() * ctx.m()), -(n * (n - 1) // 2)))
     if spec.is_quotient:
-        if n > MAX_PINNED_N:
-            raise ValueError("det T(n) modulo Phi_M is known for n <= %d "
-                             "only" % MAX_PINNED_N)
-        ctx = spec.field()
-        return prod(((ctx.l() - ctx.from_int(eps) * ctx.r_pow(k)) ** e
-                     for (eps, k), e in locus_orders(n).items()),
-                    start=(-(ctx.l() * ctx.m())) ** -(n * (n - 1) // 2))
-    rows, scales = t_cleared(n, spec)
-    return FieldElement(linalg.bareiss_det_poly(rows),
-                        prod(scales, start=Poly2.one()))
+        return prod((f ** e for f, e in factors), start=ctx.one())
+    return fe_coprime_product(factors)
 
 
 @dataclass

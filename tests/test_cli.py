@@ -212,26 +212,51 @@ def test_high_degree_l_modulo_phi_61_answers_at_once(runner, cmd):
         assert json.loads(result.output)["dim"] == 0
 
 
+def _lk_process(*args):
+    """(process, seconds) for one `python -m lkbmw.cli` run on this tree's
+    src/."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "lkbmw.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return proc, time.perf_counter() - start
+
+
 def test_high_degree_l_modulo_phi_61_answers_at_once_at_n_12():
     # l is off the locus in that field, so the kernel is 0 with no T(n),
     # and det T(n) is the closed form there; eliminating T(12) took 42.7 s
     # (kernel) and 54 s (det) per process (2 cores, Python 3.11)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     for cmd in ("kernel", "det"):
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "lkbmw.cli", cmd, "--n", "12", "--l",
-             "(r^64+1)/(r^63-3)", "--modulus", "cyclotomic:61"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert time.perf_counter() - start < 10
+        proc, seconds = _lk_process(cmd, "--n", "12", "--l",
+                                    "(r^64+1)/(r^63-3)",
+                                    "--modulus", "cyclotomic:61")
+        assert seconds < 10
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         if cmd == "kernel":
             assert (payload["dim"], payload["named_verdicts"]) == (0, {})
         else:
             assert payload["det"] not in ("", "0")
+
+
+@pytest.mark.parametrize("args,zero", [
+    (["--n", "4", "--l", "(r^64+1)/(r^63-3)"], False),
+    (["--n", "12", "--l", "r^2"], False),
+    (["--n", "5", "--l", "(2^51)^5"], False),
+    (["--n", "12", "--l=-r^3"], True)])
+def test_det_over_qr_answers_at_once(args, zero):
+    # det T(n) over Q(r) is the closed form; eliminating T(n) took 97.8 s
+    # at n = 4 with the high-degree l, 17.3 s at n = 10 with r^2 and over
+    # 120 s at n = 12, and about 19 s at n = 5 with the 255-bit l (2 cores,
+    # Python 3.11)
+    proc, seconds = _lk_process("det", *args)
+    assert seconds < 10
+    assert proc.returncode == 0, proc.stderr
+    det = json.loads(proc.stdout)["det"]
+    assert det == "0" if zero else det not in ("", "0")
 
 
 @pytest.mark.parametrize("n", ["5", "6", "7", "12"])

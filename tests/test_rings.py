@@ -459,6 +459,51 @@ def test_gcd_branch_ladders_each_side_once(monkeypatch):
 
 
 
+def _random_r_poly(rng):
+    """A random polynomial in r with small rational coefficients, times
+    random powers of r, r - 1 and r + 1."""
+    p = FieldElement(Poly2({(0, i): Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 4))
+                            for i in range(rng.randint(0, 3))}))
+    if p.is_zero():
+        p = FE_ONE
+    for lin in (R, R - 1, R + 1):
+        p = p * lin ** rng.randint(0, 2)
+    return p
+
+
+def test_coprime_product_is_the_field_product_with_no_gcd(monkeypatch):
+    """fe_coprime_product of det T(n)'s factors at l = a/b, l - eps r^k and
+    l (r - 1/r), equals the product of field elements: r, r - 1 and r + 1
+    cancel across the line, as do the copies of b on both sides."""
+    rng = random.Random(7)
+    cases = []
+    for _ in range(40):
+        l = _random_r_poly(rng) / _random_r_poly(rng)
+        factors = [(l - eps * FieldElement.r_pow(k), rng.randint(0, 3))
+                   for eps in (1, -1) for k in (-2, 0, 1, 3)]
+        factors.append((l * (R - 1 / R), -rng.randint(0, 6)))
+        want = FE_ONE
+        for f, e in factors:
+            if e:
+                want = want * f ** e
+        cases.append((factors, want))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gcd taken")
+
+    monkeypatch.setattr(rings, "_prs_gcd", refuse)
+    for factors, want in cases:
+        assert rings.fe_coprime_product(factors) == want
+
+
+def test_coprime_product_of_zero():
+    assert rings.fe_coprime_product([(FE_ZERO, 0), (R, 1)]) == R
+    assert rings.fe_coprime_product([(R, -1), (FE_ZERO, 2)]) == FE_ZERO
+    with pytest.raises(ZeroDivisionError):
+        rings.fe_coprime_product([(FE_ZERO, -1)])
+
+
 # -- cyclotomics --------------------------------------------------------------
 
 def test_first_cyclotomics():

@@ -84,38 +84,64 @@ def test_size_guard():
     assert det_T(7, SPEC_R).is_zero()
 
 
+def _eliminated_det(n, spec):
+    """det T(n) by elimination: in the field modulo Phi_M, and over Q(r) by
+    Bareiss on the rows of t_cleared, reduced once against their scales."""
+    if spec.is_quotient:
+        return linalg.det(t_matrix(n, spec).entries, spec.field())
+    rows, scales = t_cleared(n, spec)
+    return FieldElement(linalg.bareiss_det_poly(rows),
+                        math.prod(scales, start=Poly2.one()))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_quotient_det_is_the_closed_form(monkeypatch, n):
-    """Modulo Phi_M det_T is the closed form evaluated in the field, with no
-    T(n) built, and equals the elimination of T(n) there: at the kernel
-    workloads' points modulo Phi_4n, at l = 1 + r^2 modulo Phi_5, and at the
-    high-degree l modulo Phi_61 for n = 4, 5."""
+    """At a specialized l, modulo Phi_M and over Q(r), det_T is the closed
+    form with no T(n) built, no rows cleared and no Bareiss run, and equals
+    the elimination of T(n): modulo Phi_4n at the kernel workloads' points,
+    at l = 1 + r^2 modulo Phi_5 and at the high-degree l modulo Phi_61 for
+    n = 4, 5; over Q(r) at the kernel workloads' points for n <= 7 (l = r
+    at n = 3 has the exponent 0 on l - r) and at r^2 for n = 8, at the four
+    sympy-pinned l for n = 4, 5, and for n = 5 at l whose numerator and
+    denominator carry r and r +- 1 and at the 65-bit l = 2^64."""
     specs = [Specialization.l_to_mod(l, 4 * n) for l in _kernel_points(n)]
     specs.append(Specialization.l_to_mod("1+r^2", 5))
     if n in (4, 5):
         specs.append(Specialization.l_to_mod("(r^64+1)/(r^63-3)", 61))
-    want = [linalg.det(t_matrix(n, spec).entries, spec.field())
-            for spec in specs]
+    qr = _kernel_points(n) if n < 8 else ["r^2"]
+    if n in (4, 5):
+        qr += PINNED_L
+    if n == 5:
+        qr += ["2*(r-1)^2/(r+1)^3/r^2", "(r^2-1)/(3*r^4)", "2^64"]
+    specs += [Specialization.l_to(l) for l in qr]
+    want = [str(_eliminated_det(n, spec)) for spec in specs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("T(n) built")
+        raise AssertionError("T(n) built or eliminated")
 
-    monkeypatch.setattr(spectral, "sum_matrix_direct", refuse)
+    for module, name in ((spectral, "sum_matrix_direct"),
+                         (spectral, "t_cleared"),
+                         (linalg, "bareiss_det_poly")):
+        monkeypatch.setattr(module, name, refuse)
     t_matrix.cache_clear()
-    assert [str(det_T(n, spec)) for spec in specs] == [str(d) for d in want]
+    assert [str(det_T(n, spec)) for spec in specs] == want
 
 
 def test_quotient_specs_past_the_certificate_are_refused(monkeypatch):
+    """Past MAX_PINNED_N the closed form is not proved, so kernel and det_T
+    refuse a specialized l, modulo Phi_M and over Q(r), before building
+    T(n)."""
     def refuse(*args, **kwargs):
         raise AssertionError("T(n) built")
 
     monkeypatch.setattr(spectral, "sum_matrix_direct", refuse)
     n = MAX_PINNED_N + 1
     for l in ("r^2", "-r^3"):
-        spec = Specialization.l_to_mod(l, 4 * n)
-        for fn in (kernel, det_T):
-            with pytest.raises(ValueError):
-                fn(n, spec)
+        for spec in (Specialization.l_to_mod(l, 4 * n),
+                     Specialization.l_to(l)):
+            for fn in (kernel, det_T):
+                with pytest.raises(ValueError):
+                    fn(n, spec)
 
 
 # -- locus --------------------------------------------------------------------
@@ -689,6 +715,8 @@ def test_kernel_matches_sympy_nullspace():
     + [(n, l) for n in (4, 5) for l in PINNED_L]
     + [(4, "generic"), (5, "generic"), (8, "r^2")])
 def test_det_from_the_cleared_rows_matches_field_elimination(n, l_expr):
+    """det_T, Bareiss on the cleared rows over Q(l, r) and the closed form
+    over Q(r), equals field elimination."""
     spec = (Specialization.generic() if l_expr == "generic"
             else Specialization.l_to(l_expr))
     assert det_T(n, spec) == linalg.det(t_matrix(n, spec).entries,
@@ -895,12 +923,13 @@ def test_named_vectors_elsewhere_build_no_coordinates(monkeypatch):
 
 
 def test_t_cleared_is_bounded_and_shared():
-    """det_T, kernel, the membership check and rank_witness at one point
-    clear T(n) once."""
+    """kernel, the membership check and rank_witness at one point clear
+    T(n) once, and det_T there clears nothing."""
     assert t_cleared.cache_info().maxsize == 8
     spec = Specialization.l_to("-r^3")
     t_cleared.cache_clear()
     assert det_T(5, spec).is_zero()
+    assert t_cleared.cache_info().misses == 0
     rep = kernel(5, spec)
     assert rep.named_verdicts() and all(rep.named_verdicts().values())
     rank_witness(5, spec, 4)
