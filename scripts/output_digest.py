@@ -5,7 +5,9 @@ arguments, exit code, stdout and stderr.
 The list holds:
 
 - every command of the benchmark's four workloads (read from
-  perfbench/workloads.py), `kernel` and `det` at l = 1+r^2, 1/(r^2+1),
+  perfbench/workloads.py), `locus` and `det` over Q(l, r) at n = 6, the
+  largest generic determinant the size guard admits (criterion 5's),
+  `kernel` and `det` at l = 1+r^2, 1/(r^2+1),
   (r^2+r+1)/(r-2) and 3/(2*r+5) for n = 4, 5, `verify` and `det` at n = 5
   with l = -r^3 modulo Phi_20, `kernel` at l = -r^3 for n = 3 modulo
   Phi_12 and n = 4 modulo Phi_16, and `kernel` and `det` at n = 5 with the
@@ -104,6 +106,7 @@ def _small(cmd, **change):
 
 def _workloads():
     ops = [args for name in sorted(WORKLOADS) for args in WORKLOADS[name]]
+    ops += [["locus", "--n", "6"], ["det", "--n", "6"]]
     for cmd in ("kernel", "det"):
         for n in (4, 5):
             ops += [[cmd, "--n", str(n), "--l", l] for l in EXTRA_POINTS]

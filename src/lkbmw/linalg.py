@@ -11,7 +11,9 @@ through an EntryTable, which a caller may share across many operations on
 the same entries.  The other routines take dense lists of lists.  The
 exceptions take integer data: rref_zr and kernel_basis_zr a matrix over
 Z[r] (dense int coefficient lists), bareiss_det_poly a matrix over Z[l, r]
-(integer ladders, as rings._ladder builds them).
+(integer ladders, as rings._ladder builds them), which it eliminates on
+packed integers with complete pivoting: the smallest nonzero packed entry
+of the remaining rows and columns is the next pivot.
 """
 
 from __future__ import annotations
@@ -374,19 +376,29 @@ def submatrix(M, rows, cols):
 def bareiss_det_poly(M):
     """Exact determinant, as a Poly2, of a matrix over Z[l, r] whose entries
     are integer ladders (entry[a][b] the coefficient of l^a r^b, as
-    rings._ladder builds them), by Bareiss one-step elimination on
-    Kronecker-packed integers.
+    rings._ladder builds them), by Bareiss one-step elimination with
+    complete pivoting on Kronecker-packed integers.
 
     Every entry the elimination produces is a minor of M, so its r-degree is
     below W = 1 + sum_i (max r-degree in row i), and its coefficients, at most
     its maximum on the torus |l| = |r| = 1, are at most Hadamard's bound
     H = ceil(sqrt(prod_i max(1, sum_j ||M_ij||_1^2))) (||.||_1 the sum of the
-    absolute coefficients, row factors >= 1).  The ring map l -> 2^(B W),
-    r -> 2^B with 2^(B-1) > H is therefore injective on those minors: a
-    packed entry is zero exactly when its minor is, so the pivots are those
-    of the elimination over Q[l, r], every division by the previous pivot is
-    exact over Z (Sylvester's identity), and the last entry unpacks to the
-    determinant as balanced base-2^B digits.
+    absolute coefficients).  That holds for a minor on any rows and columns:
+    its own row bound drops columns, which only lowers each row's sum, and
+    drops rows, whose factors are at least 1.  The ring map l -> 2^(B W),
+    r -> 2^B with 2^(B-1) > H is therefore injective on every minor the
+    elimination can reach: a packed entry is zero exactly when its minor
+    is, every division by the previous pivot is exact over Z (Sylvester's
+    identity), and the last entry unpacks to the determinant as balanced
+    base-2^B digits.
+
+    The pivot of step k is the nonzero packed entry of smallest bit_length
+    among rows and columns >= k, the first of them in row-major order on a
+    tie; a minor's bit length grows with its leading (l, r) slot, then with
+    its leading coefficient, so the smallest keeps the minors that later
+    steps multiply and divide small.  Its row and its column are swapped
+    into place, and each swap flips the sign.  When every such entry is
+    zero, so is the determinant.
     """
     n = len(M)
     if n == 0:
@@ -403,14 +415,18 @@ def bareiss_det_poly(M):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if not A[k][k]:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly2.zero()
+        piv = min(((A[i][j].bit_length(), i, j) for i in range(k, n)
+                   for j in range(k, n) if A[i][j]), default=None)
+        if piv is None:
+            return Poly2.zero()
+        _, pi, pj = piv
+        if pi != k:
+            A[k], A[pi] = A[pi], A[k]
+            sign = -sign
+        if pj != k:
+            for row in A[k:]:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
         Ak = A[k]
         pkk = Ak[k]
         for i in range(k + 1, n):

@@ -1,7 +1,8 @@
 """The packed-integer Bareiss determinant of integer ladders against a
-Leibniz expansion of the same integer polynomials, the Z[r] kernel against
-elimination over Q(r), the kernels' reduced echelon form, and the
-sparse-row operations against plain dense loops."""
+Leibniz expansion of the same integer polynomials and against itself under
+row and column permutations, the Z[r] kernel against elimination over
+Q(r), the kernels' reduced echelon form, and the sparse-row operations
+against plain dense loops."""
 
 import functools
 import itertools
@@ -19,6 +20,7 @@ from lkbmw.linalg import (EntryTable, bareiss_det_poly, dense, det,
                           mat_sub, mat_vec, rank, rref, rref_zr, sparse)
 from lkbmw.rings import (FE_ONE, FE_ZERO, FieldElement, Poly2, QuotientField,
                          Specialization, _ladder, cyclotomic)
+from lkbmw.spectral import t_cleared
 
 L, R, ONE = Poly2.var_l(), Poly2.var_r(), Poly2.one()
 GEN = Specialization.generic().field()
@@ -67,6 +69,59 @@ def test_random_matrices_match_leibniz(seed):
     rng = random.Random(seed)
     n = 1 + seed % 5
     M = random_matrix(rng, n, density=0.4 + 0.6 * rng.random())
+    assert bareiss(M) == leibniz_det(M)
+
+
+def _perm_sign(perm):
+    return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                       for j in range(i + 1, len(perm)))
+
+
+def _permuted(M, rows, cols):
+    """P M Q: row i of the result is row rows[i] of M, column j column
+    cols[j]."""
+    return [[M[i][j] for j in cols] for i in rows]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_matrices_are_permutation_covariant(seed):
+    """bareiss(P M Q) = sgn(P) sgn(Q) bareiss(M), for one fixed row
+    permutation (a cyclic shift) and one fixed column permutation (a
+    reversal), on the matrices of test_random_matrices_match_leibniz; the
+    permuted matrix leads the complete pivot search to other positions."""
+    rng = random.Random(seed)
+    n = 1 + seed % 5
+    M = random_matrix(rng, n, density=0.4 + 0.6 * rng.random())
+    rows = [(i + 1) % n for i in range(n)]
+    cols = list(reversed(range(n)))
+    expected = bareiss(M).scale(_perm_sign(rows) * _perm_sign(cols))
+    assert bareiss(_permuted(M, rows, cols)) == expected
+
+
+def test_generic_t_rows_are_permutation_covariant():
+    """The cleared rows of the generic T(5), with their rows reversed and
+    with their columns reversed: N = 10, so each reversal has sign
+    (-1)^(N(N-1)/2) = -1."""
+    rows = t_cleared(5, Specialization.generic())[0]
+    d = bareiss_det_poly(rows)
+    assert bareiss_det_poly(rows[::-1]) == -d
+    assert bareiss_det_poly([row[::-1] for row in rows]) == -d
+
+
+def test_smallest_packed_entry_off_the_leading_row_and_column():
+    """An entry free of l packs to fewer bits than any entry with l, and
+    the smallest of them (-2 at (2, 1) in the 3x3, r - 4 at (3, 1) in the
+    4x4) sits off row 0 and column 0, so the first step swaps both a row
+    and a column."""
+    z = Poly2.zero()
+    M = [[L * R + ONE, L ** 2, L - R.scale(3)],
+         [L.scale(-4) + R, L * R ** 2, L ** 2 * R + L],
+         [L ** 3 + ONE, ONE.scale(-2), L * R.scale(5)]]
+    assert bareiss(M) == leibniz_det(M)
+    M = [[L ** 2 + R, L, L * R ** 2, L.scale(7)],
+         [L * R, L ** 3 - R, z, L + ONE],
+         [L - ONE, L * R.scale(2), L ** 2, R.scale(3)],
+         [L ** 2 * R, R - ONE.scale(4), L * R ** 3, L ** 2]]
     assert bareiss(M) == leibniz_det(M)
 
 

@@ -61,7 +61,7 @@ def _closed_form_det(n):
     return out
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_generic_det_is_the_closed_form(n):
     """det T(n) over Q(l, r) equals the closed form, and l^N det T(n) is a
     polynomial in l over Q(r) of degree 2N whose top coefficient is
