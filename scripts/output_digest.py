@@ -33,6 +33,10 @@ The list holds:
   benchmark's;
 - every other command (`matrices`, `sum-matrix`, `locus`, `rank-witness`,
   `specht`, `info`) at small n, and each with `--output text`;
+- `rank-witness` on both routes of its determinant: over Q(l, r) at n = 4
+  (size 6), over Q(r) at l = r^2 for n = 6 (size 15), at 3/(2*r+5) for
+  n = 6 (size 12) and at (r^2+r+1)/(r-2) for n = 5 (size 8), and at
+  l = -r^3 modulo Phi_20 for n = 5 (size 3, the rank there);
 - `check-vectors` for every case at n = 3..8, so every catalogued vector's
   verdict;
 - `--golden` against a matching fixture, a different fixture and a missing
@@ -164,6 +168,12 @@ def _every_command():
              "--rows", "1,2,3", "--cols", "4,5,6"],
             ["rank-witness", "--n", "4", "--l", "-r^3", "--size", "3",
              "--modulus", "cyclotomic:16", "--rows", "2,4,6"]]
+    ops += [["rank-witness", "--n", n, "--l", l, "--size", size] + extra
+            for n, l, size, extra in (
+                ("4", "generic", "6", []), ("6", "r^2", "15", []),
+                ("6", "3/(2*r+5)", "12", []),
+                ("5", "(r^2+r+1)/(r-2)", "8", []),
+                ("5", "-r^3", "3", ["--modulus", "cyclotomic:20"]))]
     ops += [["check-vectors", "--n", str(n), "--case", case]
             for n in range(3, 9) for case in CASES]
     ops += [[cmd] + SMALL[cmd] + ["--output", "text"] for cmd in SMALL]

@@ -41,13 +41,12 @@ def nu_images(i, beta, ctx):
         return {beta: ctx.r_pow(1)}, {}, {beta: ctx.r_pow(-1)}
     if ip == 2:
         return {beta: ctx.l_inv()}, {alpha: ctx.x()}, {beta: ctx.l()}
+    s = shift(beta, i)
     if ip == 1:
-        s = shift(beta, i, "-")
         k = beta.height - 2
         on_g = s.precedes(alpha)
         c = ctx.l_inv() * ctx.r_pow(-k) if on_g else ctx.l() * ctx.r_pow(k)
     else:
-        s = shift(beta, i, "+")
         k = beta.height - 1
         on_g = alpha.precedes(beta)
         c = ctx.r_pow(k if on_g else -k)

@@ -88,28 +88,15 @@ def inner2(beta, i):
     return 0
 
 
-def shift(beta, i, direction):
-    """beta - alpha_i (direction '-') or beta + alpha_i (direction '+').
-
-    Legal exactly when the result is again a positive root, i.e. when
-    inner2(beta, i) is 1 for '-' and -1 for '+'.
-    """
+def shift(beta, i):
+    """The one positive root beta - alpha_i or beta + alpha_i: beta - alpha_i
+    where inner2(beta, i) is 1, beta + alpha_i where it is -1.  For any
+    other inner product neither is a positive root."""
     ip = inner2(beta, i)
-    s, t = beta.i, beta.j
-    if direction == "-":
-        if ip != 1:
-            raise IllegalShiftError(
-                "cannot subtract alpha_%d from %s: 2(beta|alpha_i) = %d"
-                % (i, beta, ip))
-        if s == i:
-            return RootIndex(s + 1, t, beta.n)
-        return RootIndex(s, t - 1, beta.n)
-    if direction == "+":
-        if ip != -1:
-            raise IllegalShiftError(
-                "cannot add alpha_%d to %s: 2(beta|alpha_i) = %d"
-                % (i, beta, ip))
-        if s - 1 == i:
-            return RootIndex(s - 1, t, beta.n)
-        return RootIndex(s, t + 1, beta.n)
-    raise ValueError("direction must be '+' or '-'")
+    s, t, n = beta.i, beta.j, beta.n
+    if ip == 1:
+        return RootIndex(s + 1, t, n) if s == i else RootIndex(s, t - 1, n)
+    if ip == -1:
+        return RootIndex(s - 1, t, n) if s - 1 == i else RootIndex(s, t + 1, n)
+    raise IllegalShiftError(
+        "cannot shift %s by alpha_%d: 2(beta|alpha_i) = %d" % (beta, i, ip))

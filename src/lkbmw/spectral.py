@@ -14,9 +14,10 @@ of the five roots and otherwise the span of the verified catalogue vectors
 of the roots it equals (at l = -r^3 with the ladders of the smaller sizes
 embedded in the n-strand space), once their rank is the order of det T(n)
 at l; where two roots collide modulo Phi_M and their vectors fall short of
-it, T(n) is eliminated in the field.  The determinant over Q(l, r), and
-the membership check and rank_witness over Q(r), read one cached T(n)
-whose rows _clear_row cleared to integers, t_cleared.
+it, T(n) is eliminated in the field.  Over Q(l, r) and Q(r) the
+determinants of T(n) and of its submatrices, the membership check and
+rank_witness read one cached T(n) whose rows _clear_row cleared to
+integers, t_cleared.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ def _t_read(n, spec):
 def det_T(n, spec=None, guard=6):
     """Exact determinant of T(n) over the target field.
 
-    Over Q(l, r) a fraction-free elimination runs on the rows of t_cleared,
-    reduced once against the product of the row scales; the guard refuses
-    it beyond n = guard (override by passing a larger guard, or the
+    Over Q(l, r) it is submatrix_det on every row and column, Bareiss on
+    the rows of t_cleared over the product of their scales; the guard
+    refuses it beyond n = guard (override by passing a larger guard, or the
     LK_SIZE_GUARD environment variable on the command line).  At a
     specialized l, n <= MAX_PINNED_N, det T(n) is the closed form of
     locus_orders, with no T(n): the entries of T(n) lie in
@@ -114,9 +115,8 @@ def det_T(n, spec=None, guard=6):
             raise SizeGuardError(
                 "symbolic determinant for n=%d exceeds the guard (%d); "
                 "raise LK_SIZE_GUARD to override" % (n, guard))
-        rows, scales = t_cleared(n, spec)
-        return FieldElement(linalg.bareiss_det_poly(rows),
-                            prod(scales, start=Poly2.one()))
+        every = range(1, num_roots(n) + 1)
+        return submatrix_det(n, spec, every, every)
     if n > MAX_PINNED_N:
         raise ValueError("det T(n) at a specialized l is known for n <= %d "
                          "only" % MAX_PINNED_N)
@@ -613,9 +613,17 @@ def check_named(n, case):
 
 def submatrix_det(n, spec, rows, cols):
     """Exact determinant of the submatrix of T(n) given by 1-based row and
-    column index lists."""
-    M = t_matrix(n, spec).entries
-    return linalg.det(linalg.submatrix(M, rows, cols), spec.field())
+    column index lists.  Modulo Phi_M it is eliminated in the field; over
+    Q(l, r) and Q(r) it is Bareiss on those entries of the rows of
+    t_cleared, divided by the product of the chosen rows' scales (a row of
+    T(n) times its scale is its cleared row, and columns are not scaled)."""
+    if spec.is_quotient:
+        M = t_matrix(n, spec).entries
+        return linalg.det(linalg.submatrix(M, rows, cols), spec.field())
+    cleared, scales = t_cleared(n, spec)
+    return FieldElement(
+        linalg.bareiss_det_poly(linalg.submatrix(cleared, rows, cols)),
+        prod((scales[i - 1] for i in rows), start=Poly2.one()))
 
 
 def rank_witness(n, spec, size, row_pool=None, col_pool=None):

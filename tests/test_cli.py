@@ -15,7 +15,8 @@ from click.testing import CliRunner
 from lkbmw import rings
 from lkbmw.cli import main
 from lkbmw.rep import build_matrices, verify_relations
-from lkbmw.spectral import SizeGuardError
+from lkbmw.rings import Specialization
+from lkbmw.spectral import SizeGuardError, det_T
 
 FIXTURES = (pathlib.Path(__file__).resolve().parent.parent
             / "src" / "lkbmw" / "fixtures")
@@ -240,6 +241,20 @@ def test_high_degree_l_modulo_phi_61_answers_at_once_at_n_12():
             assert (payload["dim"], payload["named_verdicts"]) == (0, {})
         else:
             assert payload["det"] not in ("", "0")
+
+
+def test_generic_rank_witness_of_all_of_t6_answers_at_once():
+    # the witness is every row and column of T(6), so its det is det T(6);
+    # eliminating it with FieldElement entries ran past 240 s; Bareiss on
+    # the cleared rows takes about 6 s per process (2 cores, Python 3.11)
+    proc, seconds = _lk_process("rank-witness", "--n", "6", "--l", "generic",
+                                "--size", "15")
+    assert seconds < 60
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    every = list(range(1, 16))
+    assert (payload["rows"], payload["cols"]) == (every, every)
+    assert payload["det"] == str(det_T(6, Specialization.generic()))
 
 
 @pytest.mark.parametrize("args,zero", [

@@ -56,23 +56,25 @@ def test_inner2_examples():
 
 
 def test_shift_examples():
-    assert shift(RootIndex(2, 5, 5), 2, "-") == RootIndex(3, 5, 5)
-    assert shift(RootIndex(2, 4, 5), 4, "+") == RootIndex(2, 5, 5)
+    assert shift(RootIndex(2, 5, 5), 2) == RootIndex(3, 5, 5)
+    assert shift(RootIndex(2, 4, 5), 4) == RootIndex(2, 5, 5)
     assert RootIndex(1, 3, 4).precedes(RootIndex(3, 4, 4))
 
 
 def test_illegal_shift_names_inner_product():
-    for direction in ("-", "+"):
+    # 2(beta|alpha_i) = 0: neither beta - alpha_i nor beta + alpha_i is a
+    # root; 2: beta - alpha_i is 0 and beta + alpha_i is 2 alpha_i
+    for beta, i, ip in ((RootIndex(3, 4, 5), 1, 0),
+                        (RootIndex(2, 3, 5), 2, 2)):
         with pytest.raises(IllegalShiftError) as err:
-            shift(RootIndex(3, 4, 5), 1, direction)
-        assert "0" in str(err.value)
+            shift(beta, i)
+        assert "2(beta|alpha_i) = %d" % ip in str(err.value)
 
 
 @pytest.mark.parametrize("call", [
     lambda: RootIndex(2, 1, 3),
     lambda: root_at(0, 3),
     lambda: inner2(RootIndex(1, 2, 3), 0),
-    lambda: shift(RootIndex(1, 2, 3), 1, "x"),
 ])
 def test_out_of_range_arguments_are_refused(call):
     with pytest.raises(ValueError):
@@ -85,9 +87,9 @@ def test_shift_changes_inner2_by_two(n):
         for i in range(1, n):
             ip = inner2(beta, i)
             if ip == 1:
-                assert inner2(shift(beta, i, "-"), i) == ip - 2
+                assert inner2(shift(beta, i), i) == ip - 2
             elif ip == -1:
-                assert inner2(shift(beta, i, "+"), i) == ip + 2
+                assert inner2(shift(beta, i), i) == ip + 2
 
 
 @pytest.mark.parametrize("n", [3, 6, 9])

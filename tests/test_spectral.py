@@ -84,26 +84,17 @@ def test_size_guard():
     assert det_T(7, SPEC_R).is_zero()
 
 
-def _eliminated_det(n, spec):
-    """det T(n) by elimination: in the field modulo Phi_M, and over Q(r) by
-    Bareiss on the rows of t_cleared, reduced once against their scales."""
-    if spec.is_quotient:
-        return linalg.det(t_matrix(n, spec).entries, spec.field())
-    rows, scales = t_cleared(n, spec)
-    return FieldElement(linalg.bareiss_det_poly(rows),
-                        math.prod(scales, start=Poly2.one()))
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_quotient_det_is_the_closed_form(monkeypatch, n):
     """At a specialized l, modulo Phi_M and over Q(r), det_T is the closed
     form with no T(n) built, no rows cleared and no Bareiss run, and equals
-    the elimination of T(n): modulo Phi_4n at the kernel workloads' points,
-    at l = 1 + r^2 modulo Phi_5 and at the high-degree l modulo Phi_61 for
-    n = 4, 5; over Q(r) at the kernel workloads' points for n <= 7 (l = r
-    at n = 3 has the exponent 0 on l - r) and at r^2 for n = 8, at the four
-    sympy-pinned l for n = 4, 5, and for n = 5 at l whose numerator and
-    denominator carry r and r +- 1 and at the 65-bit l = 2^64."""
+    the elimination of T(n) (submatrix_det on every row and column): modulo
+    Phi_4n at the kernel workloads' points, at l = 1 + r^2 modulo Phi_5 and
+    at the high-degree l modulo Phi_61 for n = 4, 5; over Q(r) at the
+    kernel workloads' points for n <= 7 (l = r at n = 3 has the exponent 0
+    on l - r) and at r^2 for n = 8, at the four sympy-pinned l for n = 4,
+    5, and for n = 5 at l whose numerator and denominator carry r and
+    r +- 1 and at the 65-bit l = 2^64."""
     specs = [Specialization.l_to_mod(l, 4 * n) for l in _kernel_points(n)]
     specs.append(Specialization.l_to_mod("1+r^2", 5))
     if n in (4, 5):
@@ -114,7 +105,8 @@ def test_quotient_det_is_the_closed_form(monkeypatch, n):
     if n == 5:
         qr += ["2*(r-1)^2/(r+1)^3/r^2", "(r^2-1)/(3*r^4)", "2^64"]
     specs += [Specialization.l_to(l) for l in qr]
-    want = [str(_eliminated_det(n, spec)) for spec in specs]
+    every = range(1, n * (n - 1) // 2 + 1)
+    want = [str(submatrix_det(n, spec, every, every)) for spec in specs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("T(n) built or eliminated")
@@ -161,6 +153,21 @@ def test_locus_matches_the_solver_output(n):
     assert got == {root: e for root, e in locus_orders(n).items() if e}
     assert rep.residual.num.degree_l() == 0
     assert rep.reconstructs()
+
+
+def test_locus_refuses_a_denominator_not_l_power_times_r_part(monkeypatch):
+    # l + r: the terms of the denominator have l-degrees 1 and 0
+    bad = FieldElement(Poly2.one(), Poly2({(1, 0): 1, (0, 1): 1}))
+    monkeypatch.setattr(spectral, "det_T", lambda n, spec, guard: bad)
+    with pytest.raises(ArithmeticError, match="unexpected denominator"):
+        reducibility_locus(3)
+
+
+def test_locus_refuses_a_failed_reconstruction(monkeypatch):
+    monkeypatch.setattr(spectral.LocusReport, "reconstructs",
+                        lambda self: False)
+    with pytest.raises(ArithmeticError, match="reconstruction identity"):
+        reducibility_locus(3)
 
 
 def test_locus_scalar_is_r_only():
@@ -357,6 +364,36 @@ def test_six_strand_extension_column_is_dependent():
 def test_six_strand_negative_case_submatrix():
     d = submatrix_det(6, SPEC_NEG_R3, [1, 3, 4, 7], [1, 3, 4, 12])
     assert d == R ** 9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_submatrix_det_matches_field_elimination(monkeypatch, n):
+    """Over Q(l, r) (n <= 5) and over Q(r) at the kernel workloads' points,
+    (r^2+r+1)/(r-2) and 2*(r-1)^2/(r+1)^3/r^2 (n >= 4), submatrix_det of
+    seeded random square submatrices equals linalg.det on the same entries
+    of T(n), string for string, and never calls linalg.det."""
+    specs = [Specialization.generic()] if n <= 5 else []
+    if n >= 4:
+        specs += [Specialization.l_to(l) for l in _kernel_points(n)
+                  + ["(r^2+r+1)/(r-2)", "2*(r-1)^2/(r+1)^3/r^2"]]
+    rng = random.Random(n)
+    N = n * (n - 1) // 2
+    picks = []
+    for spec in specs:
+        for _ in range(3):
+            k = rng.randint(1, min(N, 6))
+            picks.append((spec, sorted(rng.sample(range(1, N + 1), k)),
+                          sorted(rng.sample(range(1, N + 1), k))))
+    want = [str(linalg.det(linalg.submatrix(t_matrix(n, spec).entries,
+                                            rows, cols), spec.field()))
+            for spec, rows, cols in picks]
+
+    def refuse(*args):
+        raise AssertionError("eliminated in the field")
+
+    monkeypatch.setattr(linalg, "det", refuse)
+    assert [str(submatrix_det(n, spec, rows, cols))
+            for spec, rows, cols in picks] == want
 
 
 @pytest.mark.parametrize("n", [5, 6])
